@@ -9,8 +9,9 @@
  *    beginBatch/pushBufferColumn/finishBatch loop it replaced, and vs
  *    the dense per-shot scalar reference arm (unpack every detector of
  *    every shot, project the full syndrome, decode dense) at
- *    d in {3, 5, 7}, at the fig. 6 threshold-level noise point and at
- *    a sub-threshold production point.
+ *    d in {3, 5, 7}, at the fig. 6 threshold-level noise point (plus
+ *    d = 13, the decode-heavy benchmark point) and at a sub-threshold
+ *    production point.
  *
  * The three-arm table cross-checks that all loops count the same
  * failures before reporting the speedups.
@@ -222,14 +223,22 @@ main(int argc, char** argv)
     // and must agree on the failure count.  Two noise points: the
     // fig. 6 threshold-level point (heavy syndromes — worst case for
     // dedup, the sort is pure overhead) and a sub-threshold production
-    // point (light syndromes — duplicates abound and dedup pays).
+    // point (light syndromes — duplicates abound and dedup pays).  The
+    // fig. 6 point adds d = 13, where decode dominates per-shot time.
     TextTable s({"noise", "distance", "shots", "batched(ms)",
                  "per-word(ms)", "dense(ms)", "vs-per-word", "vs-dense",
                  "failures-equal"});
-    const std::pair<const char*, qec::CircuitNoise> noise_points[] = {
-        {"fig6", fig6Noise()}, {"p2=2e-3", noiseModel(2e-3)}};
-    for (const auto& [noise_name, noise] : noise_points)
-    for (std::size_t d : {3ul, 5ul, 7ul}) {
+    struct NoisePoint
+    {
+        const char* name;
+        qec::CircuitNoise noise;
+        std::vector<std::size_t> distances;
+    };
+    const NoisePoint noise_points[] = {
+        {"fig6", fig6Noise(), {3, 5, 7, 13}},
+        {"p2=2e-3", noiseModel(2e-3), {3, 5, 7}}};
+    for (const auto& [noise_name, noise, distances] : noise_points)
+    for (std::size_t d : distances) {
         const auto circ = qec::surfaceMemoryZ(d, d, noise);
         const auto setup =
             qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);

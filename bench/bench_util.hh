@@ -13,10 +13,6 @@
  *   --threads=N            same as HETARCH_THREADS, takes precedence
  *   HETARCH_METRICS_OUT=F  write the obs snapshot (JSON) to F
  *   --metrics-out=F        same, takes precedence
- *   HETARCH_SIMD_WIDTH=N   sampler block width in 64-shot words
- *                          (1..8, default 8); results are
- *                          bit-identical for any value
- *   --simd-width=N         same as HETARCH_SIMD_WIDTH, takes precedence
  *
  * The metrics snapshot is taken after the artifact but before the
  * microbenchmarks: google-benchmark picks iteration counts adaptively,
@@ -77,32 +73,8 @@ configureThreads(int& argc, char** argv)
 }
 
 /**
- * Consume a leading --simd-width=N argument (if any) into
- * stab::setFrameBlockWords, leaving the remaining argv for
- * google-benchmark.
- */
-inline void
-configureSimdWidth(int& argc, char** argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        constexpr const char* kFlag = "--simd-width=";
-        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-            const long n = std::strtol(argv[i] + std::strlen(kFlag),
-                                       nullptr, 10);
-            if (n >= 1)
-                ::hetarch::stab::setFrameBlockWords(
-                    static_cast<std::size_t>(n));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-}
-
-/**
- * Consume the bench-harness flags (--threads, --simd-width,
- * --metrics-out) and record the detected SIMD backend width as the
+ * Consume the bench-harness flags (--threads, --metrics-out) and
+ * record the detected SIMD backend width as the
  * machine-dependent stab.sampler.simd_width counter.  Recording from
  * the harness — never from library paths — keeps per-job counter
  * deltas machine-independent for the service determinism contract.
@@ -111,7 +83,6 @@ inline void
 configure(int& argc, char** argv)
 {
     configureThreads(argc, argv);
-    configureSimdWidth(argc, argv);
     obs::configureMetricsFromArgs(argc, argv);
     stab::recordSimdTelemetry();
 }

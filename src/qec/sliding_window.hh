@@ -100,9 +100,9 @@ class SlidingWindowDecoder
 
     /**
      * Shots-per-block granularity of decodeBuffer(), in 64-shot words.
-     * Fixed (not tied to the sampler's configurable SIMD width) so the
-     * decoder's batching — and therefore its dedup telemetry — is
-     * invariant under HETARCH_SIMD_WIDTH and worker count alike.
+     * Fixed (not tied to the sampler's block width) so the decoder's
+     * batching — and therefore its dedup telemetry — is invariant
+     * under the sampler width and worker count alike.
      */
     static constexpr std::size_t kDecodeBlockWords = 4;
 

@@ -26,7 +26,19 @@ obs::Counter& cSamplerBatches = obs::counter("stab.sampler.batches");
 obs::Counter& cFrameFlips = obs::counter("stab.sampler.frame_flips");
 obs::Counter& cNoiseWords = obs::counter("stab.sampler.noise_words");
 
-/** Legacy interpreter: run the circuit once over a 64-shot batch. */
+/** Frame state of one 64-shot batch of the reference interpreter. */
+struct FrameScratch
+{
+    std::vector<std::uint64_t> x;    ///< X-flip per qubit (bit = shot)
+    std::vector<std::uint64_t> z;    ///< Z-flip per qubit
+    std::vector<std::uint64_t> meas; ///< measurement flips, record order
+};
+
+/**
+ * Reference interpreter: run the circuit op list once over a 64-shot
+ * batch.  Independent of FrameProgram, so it is the oracle the
+ * compiled tape/replay path is tested against.
+ */
 void
 runBatchReference(const Circuit& circ, FrameScratch& b, Rng& rng,
                   std::uint64_t& flips)
@@ -426,8 +438,8 @@ recordSimdTelemetry()
 std::vector<std::uint8_t>
 FrameSimulator::sampleMeasurementFlips(Rng& rng) const
 {
-    FrameScratch scratch;
-    prog->runBatch(scratch, rng);
+    FrameBlockScratch scratch;
+    prog->runBatchBlock(scratch, 1, rng);
     std::vector<std::uint8_t> out(scratch.meas.size());
     for (std::size_t i = 0; i < out.size(); ++i)
         out[i] = static_cast<std::uint8_t>(scratch.meas[i] & 1);

@@ -146,9 +146,10 @@ struct SyndromeBlock
  * count.
  *
  * RNG and telemetry parity with FrameSimulator::sampleDetectors: the
- * stream consumes the generator identically (sliced execution shares
- * the batch interpreter) and flushes the same stab.sampler.* counter
- * totals exactly once, when the stream is exhausted.
+ * stream consumes the generator identically (each slice runs the same
+ * tape resolution and replay code as a block, over its op range) and
+ * flushes the same stab.sampler.* counter totals exactly once, when
+ * the stream is exhausted.
  */
 class DetectorStream
 {
@@ -198,12 +199,13 @@ class FrameSimulator
 
     /**
      * Reference implementation: interpret the circuit op list per
-     * batch (the pre-FrameProgram path) and unpack each shot into the
-     * packed layout through the public accessor contract.  Consumes
-     * the RNG stream identically to sampleDetectors, so fixed seeds
-     * must produce bit-identical samples — the cross-validation tests
-     * and the ablation benches pin and measure exactly that.  Requires
-     * construction from a Circuit.
+     * batch, independently of the compiled FrameProgram, and unpack
+     * each shot into the packed layout through the public accessor
+     * contract.  Consumes the RNG stream identically to
+     * sampleDetectors and DetectorStream, so fixed seeds must produce
+     * bit-identical samples — it is the oracle the cross-validation
+     * tests pin both against, and an arm of the ablation benches.
+     * Requires construction from a Circuit.
      */
     DetectorSamples sampleDetectorsReference(std::size_t shots,
                                              Rng& rng) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <utility>
 
 #include "core/logging.hh"
@@ -20,7 +19,7 @@ namespace {
 // function of the workload, not of scheduling.
 obs::Counter& cProgramCompiles = obs::counter("stab.sampler.program_compiles");
 
-/** Noise-tape slots an op consumes in block execution. */
+/** Noise-tape slots an op owns (its drawn masks, one word each). */
 std::uint32_t
 tapeSlotsOf(FrameOpCode code)
 {
@@ -41,93 +40,55 @@ tapeSlotsOf(FrameOpCode code)
 }
 
 /**
- * Interpret ops in [begin, end) over the frame words, delivering each
- * measurement word through @p record.  Shared by the whole-batch and
- * sliced entry points so both consume the RNG stream identically — the
- * op order, the draw sites and the pre-resolved probabilities are the
- * same instructions either way.
+ * Resolve the RNG-consuming ops [op, end) of one 64-shot batch onto a
+ * tape row: op's drawn masks land in row[op->tape - base ..).  The draw
+ * order and parameters are the reference interpreter's, op for op, and
+ * no frame state is read — every branch below (including the DEPOL2
+ * retry loop) depends only on drawn values, which is what makes the
+ * tape/replay split sound.  Returns the applied error-lane popcount.
  */
-template <typename MeasSink>
 std::uint64_t
-interpretOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
-             std::uint64_t* z, int depol2_retries, Rng& rng,
-             MeasSink&& record)
+resolveOps(const FrameOp* op, const FrameOp* end, std::uint64_t* row,
+           std::uint32_t base, int depol2_retries, Rng& rng)
 {
     std::uint64_t flips = 0;
     for (; op != end; ++op) {
+        auto* slot = row + (op->tape - base);
         switch (op->code) {
-          case FrameOpCode::H:
-            std::swap(x[op->a], z[op->a]);
-            break;
-          case FrameOpCode::SGate:
-            z[op->a] ^= x[op->a];
-            break;
-          case FrameOpCode::CX:
-            x[op->b] ^= x[op->a];
-            z[op->a] ^= z[op->b];
-            break;
-          case FrameOpCode::CZ:
-            z[op->a] ^= x[op->b];
-            z[op->b] ^= x[op->a];
-            break;
-          case FrameOpCode::Swap:
-            std::swap(x[op->a], x[op->b]);
-            std::swap(z[op->a], z[op->b]);
-            break;
           case FrameOpCode::M:
-            record(x[op->a]);
-            // Measurement collapse randomizes the frame phase.
-            z[op->a] ^= rng();
+            slot[0] = rng();
             break;
-          case FrameOpCode::R:
-            x[op->a] = 0;
-            z[op->a] = 0;
-            break;
-          case FrameOpCode::MR:
-            record(x[op->a]);
-            x[op->a] = 0;
-            z[op->a] = 0;
-            break;
-          case FrameOpCode::XError: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            x[op->a] ^= err;
-            flips += simd::popcountWord(err);
-            break;
-          }
+          case FrameOpCode::XError:
           case FrameOpCode::ZError: {
             const std::uint64_t err = rng.biasedWord(op->p0);
-            z[op->a] ^= err;
+            slot[0] = err;
             flips += simd::popcountWord(err);
             break;
           }
-          case FrameOpCode::Pauli1: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            const std::uint64_t pick_x = rng.biasedWord(op->p1);
-            const std::uint64_t pick_y = rng.biasedWord(op->p2);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            x[op->a] ^= mx | my;
-            z[op->a] ^= mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
+          case FrameOpCode::Pauli1:
           case FrameOpCode::Depol1: {
+            const bool depol = op->code == FrameOpCode::Depol1;
             const std::uint64_t err = rng.biasedWord(op->p0);
-            const std::uint64_t pick_x = rng.biasedWord(1.0 / 3.0);
-            const std::uint64_t pick_y = rng.biasedWord(0.5);
+            const std::uint64_t pick_x =
+                rng.biasedWord(depol ? 1.0 / 3.0 : op->p1);
+            const std::uint64_t pick_y =
+                rng.biasedWord(depol ? 0.5 : op->p2);
             const std::uint64_t mx = err & pick_x;
             const std::uint64_t my = err & ~pick_x & pick_y;
             const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            x[op->a] ^= mx | my;
-            z[op->a] ^= mz | my;
+            slot[0] = mx | my;
+            slot[1] = mz | my;
             flips += simd::popcountWord(err);
             break;
           }
           case FrameOpCode::Depol2: {
             const std::uint64_t err = rng.biasedWord(op->p0);
-            if (!err)
+            if (!err) {
+                // The reference interpreter breaks before any v-draw;
+                // zero tape rows make the replay XORs no-ops.
+                slot[0] = slot[1] = slot[2] = slot[3] = 0;
                 break;
+            }
             // Uniform non-identity two-qubit Pauli per erring lane:
             // draw 4 random bits and reject the all-zero combination.
             std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(), v3 = rng();
@@ -146,16 +107,91 @@ interpretOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
             // at the default budget) is forced to X on qubit a.
             const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
             v0 |= still;
-            x[op->a] ^= err & v0;
-            z[op->a] ^= err & v1;
-            x[op->b] ^= err & v2;
-            z[op->b] ^= err & v3;
+            slot[0] = err & v0;
+            slot[1] = err & v1;
+            slot[2] = err & v2;
+            slot[3] = err & v3;
             flips += simd::popcountWord(err);
             break;
           }
+          default:
+            break; // zero-slot ops never land in rngOps
         }
     }
     return flips;
+}
+
+/**
+ * Replay the ops [op, end) over w-word frame rows, XORing the resolved
+ * tape (slot t at tape[(t - base) * w ..)) at every noise site.  Each
+ * measurement row is copied to the w words next_record() returns, so
+ * blocks write the full record and slices write the streaming ring.
+ */
+template <typename NextRecord>
+void
+replayOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
+          std::uint64_t* z, const std::uint64_t* tape, std::uint32_t base,
+          std::size_t w, NextRecord&& next_record)
+{
+    for (; op != end; ++op) {
+        auto* xa = x + op->a * w;
+        auto* za = z + op->a * w;
+        // Tape row k of this op; only noise sites and M own slots.
+        const auto t = [&](std::uint32_t k) {
+            return tape + (op->tape - base + k) * w;
+        };
+        switch (op->code) {
+          case FrameOpCode::H:
+            simd::swapWords(xa, za, w);
+            break;
+          case FrameOpCode::SGate:
+            simd::xorWords(za, xa, w);
+            break;
+          case FrameOpCode::CX:
+            simd::xorWords(x + op->b * w, xa, w);
+            simd::xorWords(za, z + op->b * w, w);
+            break;
+          case FrameOpCode::CZ:
+            simd::xorWords(za, x + op->b * w, w);
+            simd::xorWords(z + op->b * w, xa, w);
+            break;
+          case FrameOpCode::Swap:
+            simd::swapWords(xa, x + op->b * w, w);
+            simd::swapWords(za, z + op->b * w, w);
+            break;
+          case FrameOpCode::M:
+            simd::copyWords(next_record(), xa, w);
+            // Measurement collapse randomizes the frame phase.
+            simd::xorWords(za, t(0), w);
+            break;
+          case FrameOpCode::R:
+            simd::zeroWords(xa, w);
+            simd::zeroWords(za, w);
+            break;
+          case FrameOpCode::MR:
+            simd::copyWords(next_record(), xa, w);
+            simd::zeroWords(xa, w);
+            simd::zeroWords(za, w);
+            break;
+          case FrameOpCode::XError:
+            simd::xorWords(xa, t(0), w);
+            break;
+          case FrameOpCode::ZError:
+            simd::xorWords(za, t(0), w);
+            break;
+          case FrameOpCode::Pauli1:
+          case FrameOpCode::Depol1:
+            simd::xorWords(xa, t(0), w);
+            simd::xorWords(za, t(1), w);
+            break;
+          case FrameOpCode::Depol2:
+            simd::xorWords(xa, t(0), w);
+            simd::xorWords(za, t(1), w);
+            simd::xorWords(x + op->b * w, t(2), w);
+            simd::xorWords(z + op->b * w, t(3), w);
+            break;
+        }
+    }
 }
 
 } // namespace
@@ -196,6 +232,10 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
         ++cur_slice;
     };
 
+    // At most one compiled op per circuit op.  Reserving up front
+    // avoids the growth reallocations of this large array, whose freed
+    // blocks otherwise raise the setup's peak RSS.
+    prog->stream.reserve(circuit.ops().size());
     prog->detOffsets.push_back(0);
     for (const auto& op : circuit.ops()) {
         FrameOp f;
@@ -248,7 +288,7 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
             const double pz = op.params[2];
             const double ptot = px + py + pz;
             if (ptot <= 0.0)
-                continue; // interpreter breaks before any rng draw
+                continue; // reference interpreter draws nothing
             const double rest = py + pz;
             f.code = FrameOpCode::Pauli1;
             f.p0 = ptot;
@@ -343,36 +383,32 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
     prog->lookback = look;
     prog->ringCapacity = std::bit_ceil(look);
 
-    // Noise-tape layout for block execution: assign every
-    // RNG-consuming op a contiguous slot range in stream order (the
-    // resolution order), and keep a dense copy of just those ops so
-    // the per-word resolution pass never dispatches pure Cliffords.
+    // Noise-tape layout: assign every RNG-consuming op a contiguous
+    // slot range in stream order (the resolution order), and keep a
+    // dense copy of just those ops so the per-word resolution pass
+    // never dispatches pure Cliffords.  Slices own contiguous ranges
+    // of both, so a slice's tape is a window of the program's.
     std::uint32_t slot = 0;
-    for (auto& f : prog->stream) {
-        const std::uint32_t slots = tapeSlotsOf(f.code);
-        if (slots == 0)
-            continue;
-        f.tape = slot;
-        slot += slots;
-        prog->rngOps.push_back(f);
+    for (auto& info : prog->slices) {
+        info.rngBegin = static_cast<std::uint32_t>(prog->rngOps.size());
+        info.tapeBegin = slot;
+        for (std::uint32_t i = info.opBegin; i < info.opEnd; ++i) {
+            auto& f = prog->stream[i];
+            const std::uint32_t slots = tapeSlotsOf(f.code);
+            if (slots == 0)
+                continue;
+            f.tape = slot;
+            slot += slots;
+            prog->rngOps.push_back(f);
+        }
+        info.rngEnd = static_cast<std::uint32_t>(prog->rngOps.size());
+        prog->maxSliceTapeSlots = std::max<std::size_t>(
+            prog->maxSliceTapeSlots, slot - info.tapeBegin);
     }
     prog->nTapeSlots = slot;
 
     cProgramCompiles.add();
     return prog;
-}
-
-std::uint64_t
-FrameProgram::runBatch(FrameScratch& scratch, Rng& rng) const
-{
-    scratch.x.assign(nQubits, 0);
-    scratch.z.assign(nQubits, 0);
-    scratch.meas.clear();
-    scratch.meas.reserve(nMeas);
-    return interpretOps(stream.data(), stream.data() + stream.size(),
-                        scratch.x.data(), scratch.z.data(), depol2Retries,
-                        rng,
-                        [&](std::uint64_t w) { scratch.meas.push_back(w); });
 }
 
 std::uint64_t
@@ -390,14 +426,10 @@ FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
     if (words > 1)
         scratch.stage.resize(nTapeSlots * words);
 
-    // Word-by-word, op-by-op: exactly the draw order W sequential
-    // runBatch calls consume.  No frame state is read — every branch
-    // below (including the DEPOL2 retry loop) depends only on drawn
-    // values, which is what makes the two-pass split sound.
-    //
-    // Each batch resolves into a batch-major staging row (contiguous
-    // writes); a single blocked transpose below produces the
-    // slot-major layout replayBlock consumes.  Writing slot-major
+    // Word-by-word: exactly the draw order of W sequential 64-shot
+    // batches.  Each batch resolves into a batch-major staging row
+    // (contiguous writes); a single blocked transpose below produces
+    // the slot-major layout replayBlock consumes.  Writing slot-major
     // directly would stride the tape by `words` words per slot — one
     // cache line per write at width 8 — multiplying resolution write
     // traffic by the width.  At width 1 the two layouts coincide, so
@@ -407,70 +439,8 @@ FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
     for (std::size_t w = 0; w < words; ++w) {
         auto* row = words == 1 ? tape
                                : scratch.stage.data() + w * nTapeSlots;
-        for (const auto& op : rngOps) {
-            auto* slot = row + op.tape;
-            switch (op.code) {
-              case FrameOpCode::M:
-                slot[0] = rng();
-                break;
-              case FrameOpCode::XError:
-              case FrameOpCode::ZError: {
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                slot[0] = err;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              case FrameOpCode::Pauli1:
-              case FrameOpCode::Depol1: {
-                const bool depol = op.code == FrameOpCode::Depol1;
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                const std::uint64_t pick_x =
-                    rng.biasedWord(depol ? 1.0 / 3.0 : op.p1);
-                const std::uint64_t pick_y =
-                    rng.biasedWord(depol ? 0.5 : op.p2);
-                const std::uint64_t mx = err & pick_x;
-                const std::uint64_t my = err & ~pick_x & pick_y;
-                const std::uint64_t mz = err & ~pick_x & ~pick_y;
-                slot[0] = mx | my;
-                slot[1] = mz | my;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              case FrameOpCode::Depol2: {
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                if (!err) {
-                    // The interpreter breaks before any v-draw; zero
-                    // tape rows make the replay XORs no-ops.
-                    slot[0] = slot[1] = slot[2] = slot[3] = 0;
-                    break;
-                }
-                std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(),
-                              v3 = rng();
-                for (int tries = 0; tries < depol2Retries; ++tries) {
-                    const std::uint64_t zero =
-                        err & ~(v0 | v1 | v2 | v3);
-                    if (!zero)
-                        break;
-                    const std::uint64_t r0 = rng(), r1 = rng(),
-                                        r2 = rng(), r3 = rng();
-                    v0 = (v0 & ~zero) | (r0 & zero);
-                    v1 = (v1 & ~zero) | (r1 & zero);
-                    v2 = (v2 & ~zero) | (r2 & zero);
-                    v3 = (v3 & ~zero) | (r3 & zero);
-                }
-                const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
-                v0 |= still;
-                slot[0] = err & v0;
-                slot[1] = err & v1;
-                slot[2] = err & v2;
-                slot[3] = err & v3;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              default:
-                break; // zero-slot ops never land in rngOps
-            }
-        }
+        flips += resolveOps(rngOps.data(), rngOps.data() + rngOps.size(),
+                            row, 0, depol2Retries, rng);
     }
 
     // stage[w * slots + s] -> tape[s * words + w].  Slot-outer order
@@ -491,69 +461,12 @@ FrameProgram::replayBlock(FrameBlockScratch& scratch) const
     const std::size_t w = scratch.words;
     HETARCH_DEBUG_ASSERT(w >= 1 && scratch.x.size() == nQubits * w,
                          "replayBlock on an unprepared scratch");
-    auto* x = scratch.x.data();
-    auto* z = scratch.z.data();
-    auto* meas = scratch.meas.data();
-    const auto* tape = scratch.tape.data();
-    std::size_t m = 0;
-    for (const auto& op : stream) {
-        auto* xa = x + op.a * w;
-        auto* za = z + op.a * w;
-        switch (op.code) {
-          case FrameOpCode::H:
-            simd::swapWords(xa, za, w);
-            break;
-          case FrameOpCode::SGate:
-            simd::xorWords(za, xa, w);
-            break;
-          case FrameOpCode::CX:
-            simd::xorWords(x + op.b * w, xa, w);
-            simd::xorWords(za, z + op.b * w, w);
-            break;
-          case FrameOpCode::CZ:
-            simd::xorWords(za, x + op.b * w, w);
-            simd::xorWords(z + op.b * w, xa, w);
-            break;
-          case FrameOpCode::Swap:
-            simd::swapWords(xa, x + op.b * w, w);
-            simd::swapWords(za, z + op.b * w, w);
-            break;
-          case FrameOpCode::M:
-            simd::copyWords(meas + m * w, xa, w);
-            m += 1;
-            simd::xorWords(za, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::R:
-            simd::zeroWords(xa, w);
-            simd::zeroWords(za, w);
-            break;
-          case FrameOpCode::MR:
-            simd::copyWords(meas + m * w, xa, w);
-            m += 1;
-            simd::zeroWords(xa, w);
-            simd::zeroWords(za, w);
-            break;
-          case FrameOpCode::XError:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::ZError:
-            simd::xorWords(za, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::Pauli1:
-          case FrameOpCode::Depol1:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            simd::xorWords(za, tape + (op.tape + 1) * w, w);
-            break;
-          case FrameOpCode::Depol2:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            simd::xorWords(za, tape + (op.tape + 1) * w, w);
-            simd::xorWords(x + op.b * w, tape + (op.tape + 2) * w, w);
-            simd::xorWords(z + op.b * w, tape + (op.tape + 3) * w, w);
-            break;
-        }
-    }
-    HETARCH_DEBUG_ASSERT(m == nMeas, "measurement count mismatch in "
-                                     "block replay");
+    auto* next = scratch.meas.data();
+    replayOps(stream.data(), stream.data() + stream.size(),
+              scratch.x.data(), scratch.z.data(), scratch.tape.data(), 0, w,
+              [&] { return std::exchange(next, next + w); });
+    HETARCH_DEBUG_ASSERT(next == scratch.meas.data() + nMeas * w,
+                         "measurement count mismatch in block replay");
 }
 
 std::uint64_t
@@ -603,6 +516,7 @@ FrameProgram::beginStream(FrameStreamScratch& scratch) const
 {
     scratch.x.assign(nQubits, 0);
     scratch.z.assign(nQubits, 0);
+    scratch.tape.resize(maxSliceTapeSlots);
     scratch.measRing.assign(ringCapacity, 0);
     scratch.measCursor = 0;
 }
@@ -616,37 +530,17 @@ FrameProgram::runSlice(std::size_t s, FrameStreamScratch& scratch,
                          "slices must run in order (cursor ",
                          scratch.measCursor, ", slice starts at ",
                          info.measBegin, ")");
+    auto* tape = scratch.tape.data();
+    const std::uint64_t flips =
+        resolveOps(rngOps.data() + info.rngBegin,
+                   rngOps.data() + info.rngEnd, tape, info.tapeBegin,
+                   depol2Retries, rng);
     const std::size_t mask = ringCapacity - 1;
     auto* ring = scratch.measRing.data();
-    return interpretOps(stream.data() + info.opBegin,
-                        stream.data() + info.opEnd, scratch.x.data(),
-                        scratch.z.data(), depol2Retries, rng,
-                        [&](std::uint64_t w) {
-                            ring[scratch.measCursor++ & mask] = w;
-                        });
-}
-
-void
-FrameProgram::foldAnnotations(const FrameScratch& scratch,
-                              std::uint64_t lane_mask,
-                              std::uint64_t* det_words,
-                              std::size_t det_stride,
-                              std::uint64_t* obs_words,
-                              std::size_t obs_stride) const
-{
-    const auto* meas = scratch.meas.data();
-    for (std::size_t d = 0; d < nDets; ++d) {
-        std::uint64_t word = 0;
-        for (const auto* m = detMeasBegin(d); m != detMeasEnd(d); ++m)
-            word ^= meas[*m];
-        det_words[d * det_stride] = word & lane_mask;
-    }
-    for (std::size_t k = 0; k < nObs; ++k) {
-        std::uint64_t word = 0;
-        for (const auto* m = obsMeasBegin(k); m != obsMeasEnd(k); ++m)
-            word ^= meas[*m];
-        obs_words[k * obs_stride] = word & lane_mask;
-    }
+    replayOps(stream.data() + info.opBegin, stream.data() + info.opEnd,
+              scratch.x.data(), scratch.z.data(), tape, info.tapeBegin, 1,
+              [&] { return ring + (scratch.measCursor++ & mask); });
+    return flips;
 }
 
 void
@@ -686,14 +580,10 @@ clampBlockWords(long words)
 std::atomic<std::size_t>&
 blockWordsState()
 {
-    // Default: the full 8-word block (512 shots), overridable once via
-    // the environment.  Atomic because TSan-covered tests flip the
-    // width around chunk-parallel experiments.
-    static std::atomic<std::size_t> state{[] {
-        if (const char* env = std::getenv("HETARCH_SIMD_WIDTH"))
-            return clampBlockWords(std::strtol(env, nullptr, 10));
-        return kMaxFrameBlockWords;
-    }()};
+    // Default: the full 8-word block (512 shots).  Atomic because
+    // TSan-covered tests flip the width around chunk-parallel
+    // experiments.
+    static std::atomic<std::size_t> state{kMaxFrameBlockWords};
     return state;
 }
 

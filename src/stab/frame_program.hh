@@ -18,13 +18,18 @@
  *     measurement-record indices, so folding a batch is one sparse XOR
  *     pass over packed words instead of an op-list scan.
  *
+ * Every execution of the program — whole blocks and streaming slices
+ * alike — is the same two passes: resolve the noise tape, then replay
+ * the op stream over it (see "word-block execution" below).
+ *
  * The compiled program consumes the RNG stream *identically* to the
- * legacy interpreter: every op that draws randomness is kept (even
- * no-op ones like X_ERROR(p=0), whose biasedWord call returns without
- * drawing — dropping it would be safe, but keeping the call sites
- * aligned makes the equivalence argument local to each opcode), the op
- * order is unchanged, and pre-resolved probabilities are the same IEEE
- * doubles the interpreter would compute per batch.  This is what lets
+ * op-list reference interpreter (FrameSimulator::sampleDetectorsReference):
+ * every op that draws randomness is kept (even no-op ones like
+ * X_ERROR(p=0), whose biasedWord call returns without drawing —
+ * dropping it would be safe, but keeping the call sites aligned makes
+ * the equivalence argument local to each opcode), the op order is
+ * unchanged, and pre-resolved probabilities are the same IEEE doubles
+ * the interpreter would compute per batch.  This is what lets
  * fixed-seed artifacts survive the migration bit-for-bit.
  */
 
@@ -65,23 +70,17 @@ struct FrameOp
     std::uint32_t a = 0;
     std::uint32_t b = 0;
     /**
-     * First noise-tape slot of this op (block execution): the RNG
-     * resolution pass writes the op's drawn masks into tape rows
-     * [tape, tape + slots), and the vectorized replay pass XORs them
-     * into the frame.  Zero-slot ops (pure Cliffords, R) never read it.
+     * First noise-tape slot of this op: the RNG resolution pass
+     * writes the op's drawn masks into tape rows [tape, tape + slots),
+     * and the replay pass XORs them into the frame.  Slots are
+     * program-wide; a streaming slice's tape window starts at its
+     * FrameSliceInfo::tapeBegin.  Zero-slot ops (pure Cliffords, R)
+     * never read it.
      */
     std::uint32_t tape = 0;
     double p0 = 0.0;
     double p1 = 0.0;
     double p2 = 0.0;
-};
-
-/** Reusable per-thread frame state for 64-shot batches. */
-struct FrameScratch
-{
-    std::vector<std::uint64_t> x;    ///< X-flip per qubit (bit = shot)
-    std::vector<std::uint64_t> z;    ///< Z-flip per qubit
-    std::vector<std::uint64_t> meas; ///< measurement flips, record order
 };
 
 /**
@@ -117,6 +116,9 @@ struct FrameSliceInfo
 {
     std::uint32_t opBegin = 0;   ///< first compiled op of the slice
     std::uint32_t opEnd = 0;
+    std::uint32_t rngBegin = 0;  ///< first RNG-consuming op (rngOps index)
+    std::uint32_t rngEnd = 0;
+    std::uint32_t tapeBegin = 0; ///< first noise-tape slot of the slice
     std::uint32_t measBegin = 0; ///< first measurement record
     std::uint32_t measEnd = 0;
     std::uint32_t detBegin = 0;  ///< first detector emitted in the slice
@@ -129,13 +131,15 @@ struct FrameSliceInfo
  * Per-thread frame state for streaming slice execution.  Instead of
  * the full measurement record, measurement flips land in a bounded
  * power-of-two ring sized by the program's measurement lookback (how
- * far back any detector reaches, ~2 rounds for memory circuits), so
- * peak storage is independent of the round count.
+ * far back any detector reaches, ~2 rounds for memory circuits), and
+ * the noise tape holds one slice's slots, so peak storage is
+ * independent of the round count.
  */
 struct FrameStreamScratch
 {
     std::vector<std::uint64_t> x;
     std::vector<std::uint64_t> z;
+    std::vector<std::uint64_t> tape; ///< current slice's resolved noise
     std::vector<std::uint64_t> measRing; ///< pow2-sized record ring
     std::size_t measCursor = 0; ///< absolute index of the next record
 };
@@ -151,13 +155,13 @@ class FrameProgram
     /**
      * Lower @p circuit.  @p depol2_retries is the rejection-sampling
      * retry budget of the DEPOL2 channel; the default matches the
-     * legacy interpreter and must not be changed outside tests (the
+     * reference interpreter and must not be changed outside tests (the
      * RNG-consumption contract pins it).
      */
     static std::shared_ptr<const FrameProgram>
     compile(const Circuit& circuit, int depol2_retries = kDepol2Retries);
 
-    /** Legacy interpreter's DEPOL2 retry budget. */
+    /** Reference interpreter's DEPOL2 retry budget. */
     static constexpr int kDepol2Retries = 12;
 
     std::size_t numQubits() const { return nQubits; }
@@ -186,33 +190,12 @@ class FrameProgram
         return obsMeas.data() + obsOffsets[k + 1];
     }
 
-    /**
-     * Run one 64-shot batch into @p scratch (resized/cleared here, so
-     * callers just reuse one FrameScratch across batches).  Returns the
-     * number of applied noise-op error lanes (the frame_flips counter
-     * contribution), popcounted over all 64 lanes including idle lanes
-     * of a final partial batch — exactly the legacy accounting.
-     */
-    std::uint64_t runBatch(FrameScratch& scratch, Rng& rng) const;
-
-    /**
-     * XOR-fold the batch's measurement words into one packed word per
-     * detector/observable: detector d's word lands in @p det_words[d],
-     * observable k's in @p obs_words[k] (both masked by @p lane_mask so
-     * idle lanes of a partial batch stay zero).  The strides let
-     * callers write straight into detector-major packed sample
-     * buffers.
-     */
-    void foldAnnotations(const FrameScratch& scratch,
-                         std::uint64_t lane_mask, std::uint64_t* det_words,
-                         std::size_t det_stride, std::uint64_t* obs_words,
-                         std::size_t obs_stride) const;
-
     // --- word-block (SIMD) execution --------------------------------
     //
     // runBatchBlock() executes W consecutive 64-shot batches at once
-    // and is bit-identical to W sequential runBatch() calls on the
-    // same generator, including the generator's post-state.  The
+    // and is bit-identical to W sequential runBatchBlock(.., 1, ..)
+    // calls on the same generator — and to the op-list reference
+    // interpreter — including the generator's post-state.  The
     // equivalence rests on two facts:
     //
     //   1. RNG consumption is *frame-independent*: every draw site —
@@ -220,10 +203,11 @@ class FrameProgram
     //      previously drawn values — consumes the stream without
     //      looking at x/z.  So the resolution pass can draw word w's
     //      entire noise tape before word w+1's (the exact sequential
-    //      order runBatch uses) while deferring all frame updates.
+    //      order the reference interpreter uses) while deferring all
+    //      frame updates.
     //   2. Frame propagation is bitwise per lane: with the draws fixed
     //      on the tape, replaying the op stream over W-word rows
-    //      computes each word exactly as the 1-word interpreter would.
+    //      computes each word exactly as a 1-word replay would.
     //
     // The two passes are exposed separately so benches can time the
     // vectorized replay (frame propagation) apart from the RNG work,
@@ -235,10 +219,11 @@ class FrameProgram
     /**
      * Pass 1: size @p scratch for a @p words-word block and resolve
      * the whole block's noise tape, drawing word-by-word in the exact
-     * sequential runBatch order.  Frame and measurement rows are
-     * zeroed.  Returns the applied error-lane popcount over all words
-     * (the frame_flips contribution, identical to the sum of W
-     * runBatch returns).
+     * sequential 64-shot order.  Frame and measurement rows are
+     * zeroed.  Returns the number of applied noise-op error lanes over
+     * all words (the frame_flips counter contribution), popcounted
+     * over all 64 lanes of every word including idle lanes of a final
+     * partial batch — the reference interpreter's accounting.
      */
     std::uint64_t resolveNoiseTape(FrameBlockScratch& scratch,
                                    std::size_t words, Rng& rng) const;
@@ -272,13 +257,17 @@ class FrameProgram
 
     // --- streaming (sliced) execution -------------------------------
     //
-    // Running beginStream() then runSlice(0..numSlices()-1) consumes
-    // the RNG stream *identically* to one runBatch() call: the slices
-    // partition the same op array and the interpreter is shared, so
-    // every draw happens in the same order with the same parameters.
-    // foldSlice() over all slices reproduces foldAnnotations() exactly
-    // (detectors are partitioned by slice; observable words accumulate
-    // per-slice XOR contributions and must start zeroed).
+    // Slices are op ranges of the same program, executed by the same
+    // two passes at width 1: runSlice() resolves the slice's range of
+    // RNG-consuming ops onto a one-slice tape, then replays the slice's
+    // op range over it, recording measurements into the bounded ring.
+    // Slice tapes concatenate to the whole-program tape, so running
+    // beginStream() then runSlice(0..numSlices()-1) consumes the RNG
+    // stream *identically* to one runBatchBlock(.., 1, ..) call.
+    // foldSlice() over all slices reproduces foldAnnotationsBlock() at
+    // width 1 exactly (detectors are partitioned by slice; observable
+    // words accumulate per-slice XOR contributions and must start
+    // zeroed).
 
     /** Number of compiled slices (>= 1 for a non-empty program). */
     std::size_t numSlices() const { return slices.size(); }
@@ -302,9 +291,9 @@ class FrameProgram
 
     /**
      * Run slice @p s of the current batch (slices must run in order
-     * from 0).  Returns the applied error-lane popcount, the same
-     * accounting as runBatch — summed over all slices it equals the
-     * runBatch return value for the identical RNG stream.
+     * from 0).  Returns the applied error-lane popcount — summed over
+     * all slices it equals the runBatchBlock(.., 1, ..) return value
+     * for the identical RNG stream.
      */
     std::uint64_t runSlice(std::size_t s, FrameStreamScratch& scratch,
                            Rng& rng) const;
@@ -332,6 +321,7 @@ class FrameProgram
     /** RNG-consuming ops only (tape slots assigned), resolution order. */
     std::vector<FrameOp> rngOps;
     std::size_t nTapeSlots = 0;
+    std::size_t maxSliceTapeSlots = 0; ///< streaming tape row size
     std::vector<std::uint32_t> detOffsets; ///< size nDets + 1
     std::vector<std::uint32_t> detMeas;
     std::vector<std::uint32_t> obsOffsets; ///< size nObs + 1
@@ -349,8 +339,8 @@ inline constexpr std::size_t kMaxFrameBlockWords = 8;
 
 /**
  * Process-wide sampler block width in 64-bit words (1..8; default 8 =
- * 512 shots per block, overridable via the HETARCH_SIMD_WIDTH
- * environment variable).  Results are bit-identical at every width —
+ * 512 shots per block; tests and ablation benches override it through
+ * setFrameBlockWords).  Results are bit-identical at every width —
  * the width only trades dispatch amortization against scratch size —
  * which the lane/word-permutation tests pin at {1, 4, 8}.
  */

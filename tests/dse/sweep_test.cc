@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "core/units.hh"
 #include "distill/module_sim.hh"
 #include "dse/burden.hh"
@@ -21,14 +23,23 @@ TEST(Sweep, GridSizeAndOrder)
     s.parameter("a", {1, 2, 3}).parameter("b", {10, 20});
     EXPECT_EQ(s.size(), 6u);
 
-    std::vector<std::pair<double, double>> visited;
-    s.run([&](const DesignPoint& p) -> Metrics {
-        visited.push_back({p.at("a"), p.at("b")});
+    // run() evaluates points on pool workers in any order; results come
+    // back in grid order.
+    std::mutex mu;
+    std::size_t visits = 0;
+    const auto results = s.run([&](const DesignPoint& p) -> Metrics {
+        const std::lock_guard<std::mutex> lock(mu);
+        ++visits;
         return {{"sum", p.at("a") + p.at("b")}};
     });
-    ASSERT_EQ(visited.size(), 6u);
-    EXPECT_EQ(visited.front(), (std::pair<double, double>{1, 10}));
-    EXPECT_EQ(visited.back(), (std::pair<double, double>{3, 20}));
+    EXPECT_EQ(visits, 6u);
+    ASSERT_EQ(results.size(), 6u);
+    const auto at = [&](std::size_t i) {
+        return std::pair<double, double>{results[i].first.at("a"),
+                                         results[i].first.at("b")};
+    };
+    EXPECT_EQ(at(0), (std::pair<double, double>{1, 10}));
+    EXPECT_EQ(at(5), (std::pair<double, double>{3, 20}));
 }
 
 TEST(Sweep, ArgminFindsOptimum)

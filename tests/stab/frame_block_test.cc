@@ -8,15 +8,14 @@
  *   - the block path consumes the RNG stream exactly like the
  *     sequential 64-shot path (noise words are resolved in the same
  *     order), so generator state after sampling matches too;
- *   - runBatchBlock over W words reproduces W sequential runBatch
- *     calls word for word (measurement rows and flip totals);
+ *   - runBatchBlock over W words reproduces W sequential 1-word
+ *     runBatchBlock calls word for word (measurement rows and flip
+ *     totals);
  *   - every stab.sampler.* counter delta is invariant under the
  *     configured width.
  *
- * The circuit under test covers every opcode the frame pipeline
- * lowers: all unitaries, M/R/MR, both biased errors, the Pauli-1
- * channel, and both depolarizing channels (DEPOL2 exercises the
- * rejection-retry tape rows).
+ * The circuit under test (opcode_soup.hh) covers every opcode the
+ * frame pipeline lowers.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +30,8 @@
 #include "stab/frame.hh"
 #include "stab/frame_program.hh"
 
+#include "opcode_soup.hh"
+
 namespace hetarch {
 namespace stab {
 namespace {
@@ -41,41 +42,6 @@ struct WidthGuard
     std::size_t saved = frameBlockWords();
     ~WidthGuard() { setFrameBlockWords(saved); }
 };
-
-/** A circuit touching every lowered opcode, over two noisy rounds. */
-Circuit
-opcodeSoup()
-{
-    Circuit c(4);
-    c.h(0);
-    c.s(1);
-    c.sdg(2);
-    c.x(3);
-    c.y(0);
-    c.z(1);
-    c.xError(0, 0.3);
-    c.zError(1, 0.2);
-    c.pauliChannel1(2, 0.05, 0.1, 0.15);
-    c.depolarize1(3, 0.25);
-    c.depolarize2(0, 1, 0.2);
-    c.cx(0, 1);
-    c.cz(1, 2);
-    c.swap(2, 3);
-    std::vector<std::size_t> r0;
-    for (std::uint32_t q = 0; q < 4; ++q)
-        r0.push_back(c.measureReset(q));
-    c.depolarize2(2, 3, 0.15);
-    c.h(0);
-    c.reset(1);
-    c.xError(2, 0.4);
-    std::vector<std::size_t> r1;
-    for (std::uint32_t q = 0; q < 4; ++q)
-        r1.push_back(c.measure(q));
-    for (std::uint32_t q = 0; q < 4; ++q)
-        c.detector({r0[q], r1[q]});
-    c.observableInclude(0, {r1[0], r1[2]});
-    return c;
-}
 
 std::uint64_t
 counterValue(const obs::Snapshot& snap, const std::string& name)
@@ -140,11 +106,11 @@ TEST(FrameBlock, RunBatchBlockReproducesSequentialBatches)
     const std::size_t words = 4;
 
     Rng rng_seq(9001);
-    FrameScratch seq;
+    FrameBlockScratch seq;
     std::vector<std::vector<std::uint64_t>> meas_by_word;
     std::uint64_t flips_seq = 0;
     for (std::size_t j = 0; j < words; ++j) {
-        flips_seq += prog->runBatch(seq, rng_seq);
+        flips_seq += prog->runBatchBlock(seq, 1, rng_seq);
         meas_by_word.push_back(seq.meas);
     }
 
