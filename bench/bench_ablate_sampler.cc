@@ -4,20 +4,25 @@
  *
  *  - batched Pauli-frame sampling vs exact tableau simulation (the
  *    frame sampler is what makes paper-scale experiments affordable);
- *  - the compiled, bit-packed frame pipeline vs the legacy op-list
- *    interpreter (the packed path is what the production experiments
- *    run; the reference interpreter survives as the equivalence
- *    oracle).
+ *  - the compiled, bit-packed frame pipeline (sparse noise tape +
+ *    word-parallel replay) vs the legacy op-list interpreter (one
+ *    biasedWord per noise word; it survives as the statistical
+ *    equivalence oracle).
  *
- * The packed-vs-reference arm also cross-checks bit-for-bit sample
- * equality on a fixed seed — the speedup is only meaningful because
- * the outputs are identical.
+ * The two pipelines consume the RNG differently, so the
+ * packed-vs-reference arm cross-checks agreement in distribution: mean
+ * fired detectors per shot of both arms must agree within 4 sigma.
+ * The tape-only arm times the sparse noise-tape pass alone against the
+ * whole reference interpreter, whose time is almost all noise
+ * resolution, at d=13 for fig6 and sub-threshold noise.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "core/table.hh"
 #include "core/units.hh"
@@ -42,6 +47,33 @@ noiseModel()
     noise.dataT1 = noise.dataT2 = 0.1 * ms;
     noise.ancT1 = noise.ancT2 = 0.1 * ms;
     return noise;
+}
+
+/** Sub-threshold storage-class noise: 10x lower gate error, 10x T1/T2. */
+qec::CircuitNoise
+lowNoiseModel()
+{
+    qec::CircuitNoise noise;
+    noise.p2 = 1e-3;
+    noise.p1 = 1e-4;
+    noise.dataT1 = noise.dataT2 = 1.0 * ms;
+    noise.ancT1 = noise.ancT2 = 1.0 * ms;
+    return noise;
+}
+
+/** Mean and variance of fired detectors per shot. */
+std::pair<double, double>
+firedPerShot(const stab::DetectorSamples& s)
+{
+    double sum = 0.0, sum2 = 0.0;
+    for (std::size_t shot = 0; shot < s.shots; ++shot) {
+        const auto w = static_cast<double>(s.shotWeight(shot));
+        sum += w;
+        sum2 += w * w;
+    }
+    const double n = static_cast<double>(s.shots);
+    const double mean = sum / n;
+    return {mean, sum2 / n - mean * mean};
 }
 
 void
@@ -156,7 +188,8 @@ main(int argc, char** argv)
     std::cout << "\n=== Ablation: compiled packed sampler vs op-list "
                  "interpreter ===\n";
     TextTable p({"distance", "shots", "packed(ms)", "reference(ms)",
-                 "speedup", "bit-identical"});
+                 "speedup", "fired/shot packed", "fired/shot ref",
+                 "within 4 sigma"});
     for (std::size_t d : {3ul, 5ul, 9ul, 13ul}) {
         const auto circ = qec::surfaceMemoryZ(d, d, noiseModel());
         const std::size_t shots = 2048;
@@ -173,26 +206,68 @@ main(int argc, char** argv)
             frame.sampleDetectorsReference(shots, rng_r);
         const auto r1 = clock::now();
 
-        const bool identical = packed.detWords == reference.detWords &&
-                               packed.obsWords == reference.obsWords;
+        const auto [mean_p, var_p] = firedPerShot(packed);
+        const auto [mean_r, var_r] = firedPerShot(reference);
+        const double sigma =
+            std::sqrt((var_p + var_r) / static_cast<double>(shots));
+        const bool agree = std::fabs(mean_p - mean_r) <= 4.0 * sigma;
         const double p_ms =
             std::chrono::duration<double, std::milli>(p1 - p0).count();
         const double r_ms =
             std::chrono::duration<double, std::milli>(r1 - r0).count();
         p.addRow({std::to_string(d), std::to_string(shots),
                   formatFixed(p_ms, 2), formatFixed(r_ms, 2),
-                  formatFixed(r_ms / p_ms, 1) + "x",
-                  identical ? "yes" : "NO"});
+                  formatFixed(r_ms / p_ms, 1) + "x", formatFixed(mean_p, 3),
+                  formatFixed(mean_r, 3), agree ? "yes" : "NO"});
     }
     p.print(std::cout);
+
+    std::cout << "\n=== Ablation: sparse noise tape vs op-list "
+                 "interpreter (d=13) ===\n";
+    TextTable tape({"noise", "shots", "sparse tape(ms)", "reference(ms)",
+                    "speedup"});
+    for (const auto& [name, noise] :
+         {std::pair{"fig6", noiseModel()},
+          std::pair{"lowp", lowNoiseModel()}}) {
+        const auto circ = qec::surfaceMemoryZ(13, 13, noise);
+        const std::size_t shots = 2048;
+        stab::FrameSimulator frame(circ);
+        const auto& prog = frame.program();
+
+        // One untimed block first, so the timed loop does not pay the
+        // scratch buffers' first-touch page faults.
+        stab::FrameBlockScratch scratch;
+        Rng rng_t(1);
+        prog.resolveNoiseTape(scratch, stab::kMaxFrameBlockWords, rng_t);
+        const auto t0 = clock::now();
+        for (std::size_t w = 0; w < shots / 64;
+             w += stab::kMaxFrameBlockWords)
+            prog.resolveNoiseTape(scratch, stab::kMaxFrameBlockWords, rng_t);
+        const auto t1 = clock::now();
+
+        Rng rng_r(1);
+        const auto r0 = clock::now();
+        const auto reference = frame.sampleDetectorsReference(shots, rng_r);
+        benchmark::DoNotOptimize(reference);
+        const auto r1 = clock::now();
+
+        const double t_ms =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        const double r_ms =
+            std::chrono::duration<double, std::milli>(r1 - r0).count();
+        tape.addRow({name, std::to_string(shots), formatFixed(t_ms, 2),
+                     formatFixed(r_ms, 2),
+                     formatFixed(r_ms / t_ms, 1) + "x"});
+    }
+    tape.print(std::cout);
 
     std::cout << "\n=== Ablation: word-parallel blocks (W=8) vs 1-word "
                  "blocks ===\n";
     // Two arms per distance: "sample" is end-to-end sampleDetectors
-    // (sequential noise-tape resolution + vectorized replay), "replay"
-    // is the frame-propagation pass alone.  Samples are bit-identical
-    // at every width by the RNG-order invariant, so the speedup is a
-    // pure throughput delta.
+    // (sparse noise-tape resolution + vectorized replay), "replay" is
+    // the frame-propagation pass alone.  Samples are bit-identical at
+    // every width by the RNG-order invariant, so the speedup is a pure
+    // throughput delta.
     TextTable w({"distance", "arm", "w=8(ms)", "w=1(ms)", "speedup",
                  "bit-identical"});
     const std::size_t saved_width = stab::frameBlockWords();

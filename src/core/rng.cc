@@ -142,6 +142,23 @@ Rng::biasedWord(double p)
     return result;
 }
 
+std::uint64_t
+Rng::geometricSkip(double log1m_p, std::uint64_t limit)
+{
+    if (std::isinf(log1m_p))
+        return 0; // p = 1: every trial succeeds
+    if (!(log1m_p < 0.0))
+        return limit; // p = 0: no trial succeeds
+    // 53 high bits + 1 -> u in (0, 1], so log(u) is finite and <= 0.
+    const double u = static_cast<double>((next() >> 11) + 1) * 0x1.0p-53;
+    const double skip = std::log(u) / log1m_p;
+    // Compare as a double first: casting a value beyond 2^64 (tiny p)
+    // to an integer is undefined.
+    if (skip >= static_cast<double>(limit))
+        return limit;
+    return static_cast<std::uint64_t>(skip);
+}
+
 Rng
 Rng::split()
 {

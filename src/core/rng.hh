@@ -58,6 +58,21 @@ class Rng
     std::uint64_t biasedWord(double p);
 
     /**
+     * Geometric skip for sparse Bernoulli(p) sampling: the number of
+     * failures before the next success, floor(log(u) / log1p(-p)) for
+     * one u uniform in (0, 1], capped at @p limit (a return of
+     * @p limit means no success among the next @p limit trials).
+     * Walking a run of n trials as pos += skip, hit, pos += 1 costs
+     * one draw per success instead of one per trial.
+     *
+     * @p log1m_p is std::log1p(-p), precomputed by the caller.  p = 1
+     * (log1m_p = -inf) returns 0 and p = 0 (log1m_p = 0) returns
+     * @p limit, both without drawing; a tiny p whose skip exceeds
+     * every integer type saturates at @p limit.
+     */
+    std::uint64_t geometricSkip(double log1m_p, std::uint64_t limit);
+
+    /**
      * Split off an independent child generator.  Used to give each
      * Monte-Carlo shard its own stream without correlation.
      */

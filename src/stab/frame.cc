@@ -25,6 +25,9 @@ obs::Counter& cSamplerShots = obs::counter("stab.sampler.shots");
 obs::Counter& cSamplerBatches = obs::counter("stab.sampler.batches");
 obs::Counter& cFrameFlips = obs::counter("stab.sampler.frame_flips");
 obs::Counter& cNoiseWords = obs::counter("stab.sampler.noise_words");
+// Advisory per-block stage timings (recorded only with timing on).
+obs::Histogram& hTapeNs = obs::histogram("stab.sampler.tape_ns");
+obs::Histogram& hReplayNs = obs::histogram("stab.sampler.replay_ns");
 
 /** Frame state of one 64-shot batch of the reference interpreter. */
 struct FrameScratch
@@ -337,16 +340,23 @@ FrameSimulator::sampleDetectors(std::size_t shots, Rng& rng) const
     std::uint64_t flips = 0;
 
     // Word-parallel blocks: up to frameBlockWords() 64-shot batches are
-    // propagated per program walk.  Noise is resolved word-by-word in
-    // the exact sequential RNG order (resolveNoiseTape), so samples are
-    // bit-identical at every block width — see DESIGN.md.
+    // propagated per program walk.  Noise is resolved word by word in
+    // the sequential 64-shot RNG order (resolveNoiseTape), so samples
+    // are bit-identical at every block width — see DESIGN.md.
     const std::size_t block =
         std::min(frameBlockWords(), kMaxFrameBlockWords);
     FrameBlockScratch scratch;
     for (std::size_t w0 = 0; w0 < out.numWords; w0 += block) {
         const std::size_t words =
             std::min<std::size_t>(block, out.numWords - w0);
-        flips += prog->runBatchBlock(scratch, words, rng);
+        {
+            obs::ScopedTimer timer(hTapeNs);
+            flips += prog->resolveNoiseTape(scratch, words, rng);
+        }
+        {
+            obs::ScopedTimer timer(hReplayNs);
+            prog->replayBlock(scratch);
+        }
         batches += words;
         const std::size_t last_lanes =
             std::min<std::size_t>(64, shots - (w0 + words - 1) * 64);
@@ -415,9 +425,9 @@ FrameSimulator::sampleDetectorsReference(std::size_t shots, Rng& rng) const
     cSamplerShots.add(shots);
     cSamplerBatches.add(batches);
     cFrameFlips.add(flips);
-    // The reference interpreter draws the same noise words inline that
-    // the packed path resolves onto its tape; count them identically so
-    // the two paths stay counter-parity as well as bit-parity.
+    // The reference interpreter draws one word per noise-tape slot
+    // inline; count them like the packed path's tape rows so the
+    // noise_words counter means the same on both paths.
     cNoiseWords.add(prog->tapeWords() * batches);
     return out;
 }

@@ -147,9 +147,9 @@ struct SyndromeBlock
  *
  * RNG and telemetry parity with FrameSimulator::sampleDetectors: the
  * stream consumes the generator identically (each slice runs the same
- * tape resolution and replay code as a block, over its op range) and
- * flushes the same stab.sampler.* counter totals exactly once, when
- * the stream is exhausted.
+ * per-slice tape resolution and replay code as a block, over its op
+ * range) and flushes the same stab.sampler.* counter totals exactly
+ * once, when the stream is exhausted.
  */
 class DetectorStream
 {
@@ -199,13 +199,14 @@ class FrameSimulator
 
     /**
      * Reference implementation: interpret the circuit op list per
-     * batch, independently of the compiled FrameProgram, and unpack
-     * each shot into the packed layout through the public accessor
-     * contract.  Consumes the RNG stream identically to
-     * sampleDetectors and DetectorStream, so fixed seeds must produce
-     * bit-identical samples — it is the oracle the cross-validation
-     * tests pin both against, and an arm of the ablation benches.
-     * Requires construction from a Circuit.
+     * batch, independently of the compiled FrameProgram, drawing one
+     * Rng::biasedWord per noise word, and unpack each shot into the
+     * packed layout through the public accessor contract.  Its RNG
+     * consumption differs from the compiled path's sparse contract
+     * (frame_program.hh), so the two agree in distribution, not bit
+     * for bit — it is the oracle of the statistical-equivalence tests
+     * and an arm of the ablation benches.  Requires construction from
+     * a Circuit.
      */
     DetectorSamples sampleDetectorsReference(std::size_t shots,
                                              Rng& rng) const;

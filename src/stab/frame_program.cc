@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/logging.hh"
@@ -33,92 +35,17 @@ tapeSlotsOf(FrameOpCode code)
       case FrameOpCode::Depol1:
         return 2; // resolved X-flip and Z-flip masks
       case FrameOpCode::Depol2:
-        return 4; // err & v0..v3 (X_a, Z_a, X_b, Z_b masks)
+        return 4; // X_a, Z_a, X_b, Z_b flip masks
       default:
         return 0;
     }
 }
 
-/**
- * Resolve the RNG-consuming ops [op, end) of one 64-shot batch onto a
- * tape row: op's drawn masks land in row[op->tape - base ..).  The draw
- * order and parameters are the reference interpreter's, op for op, and
- * no frame state is read — every branch below (including the DEPOL2
- * retry loop) depends only on drawn values, which is what makes the
- * tape/replay split sound.  Returns the applied error-lane popcount.
- */
-std::uint64_t
-resolveOps(const FrameOp* op, const FrameOp* end, std::uint64_t* row,
-           std::uint32_t base, int depol2_retries, Rng& rng)
+/** @p bit if @p on, else 0: row picks without data-dependent branches. */
+inline std::uint64_t
+pick(std::uint64_t bit, bool on)
 {
-    std::uint64_t flips = 0;
-    for (; op != end; ++op) {
-        auto* slot = row + (op->tape - base);
-        switch (op->code) {
-          case FrameOpCode::M:
-            slot[0] = rng();
-            break;
-          case FrameOpCode::XError:
-          case FrameOpCode::ZError: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            slot[0] = err;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case FrameOpCode::Pauli1:
-          case FrameOpCode::Depol1: {
-            const bool depol = op->code == FrameOpCode::Depol1;
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            const std::uint64_t pick_x =
-                rng.biasedWord(depol ? 1.0 / 3.0 : op->p1);
-            const std::uint64_t pick_y =
-                rng.biasedWord(depol ? 0.5 : op->p2);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            slot[0] = mx | my;
-            slot[1] = mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case FrameOpCode::Depol2: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            if (!err) {
-                // The reference interpreter breaks before any v-draw;
-                // zero tape rows make the replay XORs no-ops.
-                slot[0] = slot[1] = slot[2] = slot[3] = 0;
-                break;
-            }
-            // Uniform non-identity two-qubit Pauli per erring lane:
-            // draw 4 random bits and reject the all-zero combination.
-            std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(), v3 = rng();
-            for (int tries = 0; tries < depol2_retries; ++tries) {
-                const std::uint64_t zero = err & ~(v0 | v1 | v2 | v3);
-                if (!zero)
-                    break;
-                const std::uint64_t r0 = rng(), r1 = rng(), r2 = rng(),
-                                    r3 = rng();
-                v0 = (v0 & ~zero) | (r0 & zero);
-                v1 = (v1 & ~zero) | (r1 & zero);
-                v2 = (v2 & ~zero) | (r2 & zero);
-                v3 = (v3 & ~zero) | (r3 & zero);
-            }
-            // Any lane still all-zero after the retries (prob 16^-12
-            // at the default budget) is forced to X on qubit a.
-            const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
-            v0 |= still;
-            slot[0] = err & v0;
-            slot[1] = err & v1;
-            slot[2] = err & v2;
-            slot[3] = err & v3;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          default:
-            break; // zero-slot ops never land in rngOps
-        }
-    }
-    return flips;
+    return bit & -std::uint64_t{on};
 }
 
 /**
@@ -197,14 +124,13 @@ replayOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
 } // namespace
 
 std::shared_ptr<const FrameProgram>
-FrameProgram::compile(const Circuit& circuit, int depol2_retries)
+FrameProgram::compile(const Circuit& circuit)
 {
     auto prog = std::make_shared<FrameProgram>();
     prog->nQubits = circuit.numQubits();
     prog->nMeas = circuit.numMeasurements();
     prog->nDets = circuit.numDetectors();
     prog->nObs = circuit.numObservables();
-    prog->depol2Retries = depol2_retries;
 
     // Observable includes are concatenated per id; XOR-folding the
     // combined list equals XOR-accumulating the individual includes.
@@ -289,11 +215,10 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
             const double ptot = px + py + pz;
             if (ptot <= 0.0)
                 continue; // reference interpreter draws nothing
-            const double rest = py + pz;
             f.code = FrameOpCode::Pauli1;
             f.p0 = ptot;
             f.p1 = px / ptot;
-            f.p2 = rest > 0.0 ? py / rest : 0.0;
+            f.p2 = (px + py) / ptot;
             break;
           }
           case OpCode::DEPOL1:
@@ -384,14 +309,21 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
     prog->ringCapacity = std::bit_ceil(look);
 
     // Noise-tape layout: assign every RNG-consuming op a contiguous
-    // slot range in stream order (the resolution order), and keep a
-    // dense copy of just those ops so the per-word resolution pass
-    // never dispatches pure Cliffords.  Slices own contiguous ranges
-    // of both, so a slice's tape is a window of the program's.
+    // slot range in stream order, so a slice's tape is a window of the
+    // program's.  Each slice records its M collapse slots and groups
+    // its noise sites by channel (opcode and exact probabilities),
+    // groups ordered by first appearance — the resolution order of the
+    // RNG contract.  A slice holds few distinct channels (one per
+    // gate/idle class), so a linear search beats hashing here.
     std::uint32_t slot = 0;
+    std::vector<NoiseGroup> open_groups;
+    std::vector<std::vector<std::uint32_t>> group_slots;
     for (auto& info : prog->slices) {
-        info.rngBegin = static_cast<std::uint32_t>(prog->rngOps.size());
         info.tapeBegin = slot;
+        info.collapseBegin =
+            static_cast<std::uint32_t>(prog->collapseSlots.size());
+        open_groups.clear();
+        group_slots.clear();
         for (std::uint32_t i = info.opBegin; i < info.opEnd; ++i) {
             auto& f = prog->stream[i];
             const std::uint32_t slots = tapeSlotsOf(f.code);
@@ -399,9 +331,50 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
                 continue;
             f.tape = slot;
             slot += slots;
-            prog->rngOps.push_back(f);
+            if (f.code == FrameOpCode::M) {
+                prog->collapseSlots.push_back(f.tape);
+                continue;
+            }
+            if (!(f.p0 > 0.0))
+                continue; // never errs
+            // The walk reads p only through log1p(-p), so that is the key.
+            const double log1m_p =
+                f.p0 >= 1.0 ? -std::numeric_limits<double>::infinity()
+                            : std::log1p(-f.p0);
+            const auto same = [&](const NoiseGroup& g) {
+                return g.code == f.code && g.log1mP == log1m_p &&
+                       g.p1 == f.p1 && g.p2 == f.p2;
+            };
+            const auto g = static_cast<std::size_t>(
+                std::find_if(open_groups.begin(), open_groups.end(), same) -
+                open_groups.begin());
+            if (g == open_groups.size()) {
+                NoiseGroup group;
+                group.code = f.code;
+                group.log1mP = log1m_p;
+                group.p1 = f.p1;
+                group.p2 = f.p2;
+                open_groups.push_back(group);
+                group_slots.emplace_back();
+            }
+            group_slots[g].push_back(f.tape);
         }
-        info.rngEnd = static_cast<std::uint32_t>(prog->rngOps.size());
+        info.tapeEnd = slot;
+        info.collapseEnd =
+            static_cast<std::uint32_t>(prog->collapseSlots.size());
+        info.groupBegin = static_cast<std::uint32_t>(prog->groups.size());
+        for (std::size_t g = 0; g < open_groups.size(); ++g) {
+            NoiseGroup& group = open_groups[g];
+            group.siteBegin =
+                static_cast<std::uint32_t>(prog->groupSlots.size());
+            prog->groupSlots.insert(prog->groupSlots.end(),
+                                    group_slots[g].begin(),
+                                    group_slots[g].end());
+            group.siteEnd =
+                static_cast<std::uint32_t>(prog->groupSlots.size());
+            prog->groups.push_back(group);
+        }
+        info.groupEnd = static_cast<std::uint32_t>(prog->groups.size());
         prog->maxSliceTapeSlots = std::max<std::size_t>(
             prog->maxSliceTapeSlots, slot - info.tapeBegin);
     }
@@ -409,6 +382,68 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
 
     cProgramCompiles.add();
     return prog;
+}
+
+std::uint64_t
+FrameProgram::resolveSlice(const FrameSliceInfo& info, std::uint64_t* tape,
+                           std::uint32_t base, std::size_t stride,
+                           Rng& rng) const
+{
+    for (std::uint32_t c = info.collapseBegin; c < info.collapseEnd; ++c)
+        tape[(collapseSlots[c] - base) * stride] = rng();
+
+    std::uint64_t flips = 0;
+    for (std::uint32_t g = info.groupBegin; g < info.groupEnd; ++g) {
+        const NoiseGroup& group = groups[g];
+        const std::uint32_t* slots = groupSlots.data() + group.siteBegin;
+        // The (site x 64-lane) grid, site-major: pos = site * 64 + lane.
+        // hit(rows, bit) gets the erring site's first tape row (row k
+        // at rows[k * stride]) and the erring lane's bit.
+        const std::uint64_t n =
+            std::uint64_t{group.siteEnd - group.siteBegin} * 64;
+        const auto walk = [&](auto&& hit) {
+            for (std::uint64_t pos = rng.geometricSkip(group.log1mP, n);
+                 pos < n;
+                 pos += 1 + rng.geometricSkip(group.log1mP, n - pos - 1)) {
+                hit(tape + (slots[pos / 64] - base) * stride,
+                    std::uint64_t{1} << (pos % 64));
+                ++flips;
+            }
+        };
+        // Each erring lane draws its Pauli categorically; the picks are
+        // coin flips the branch predictor cannot learn, hence masks.
+        switch (group.code) {
+          case FrameOpCode::XError:
+          case FrameOpCode::ZError:
+            walk([](std::uint64_t* t, std::uint64_t bit) { t[0] |= bit; });
+            break;
+          case FrameOpCode::Depol1:
+            walk([&](std::uint64_t* t, std::uint64_t bit) {
+                const std::uint64_t pauli = rng.uniformInt(3); // X, Y, Z
+                t[0] |= pick(bit, pauli != 2);
+                t[stride] |= pick(bit, pauli != 0);
+            });
+            break;
+          case FrameOpCode::Pauli1:
+            walk([&](std::uint64_t* t, std::uint64_t bit) {
+                const double u = rng.uniform();
+                t[0] |= pick(bit, u < group.p2);       // X or Y
+                t[stride] |= pick(bit, u >= group.p1); // Y or Z
+            });
+            break;
+          case FrameOpCode::Depol2:
+            walk([&](std::uint64_t* t, std::uint64_t bit) {
+                // Non-identity two-qubit Pauli: bits X_a, Z_a, X_b, Z_b.
+                const std::uint64_t pauli = rng.uniformInt(15) + 1;
+                for (std::size_t k = 0; k < 4; ++k)
+                    t[k * stride] |= pick(bit, (pauli >> k) & 1);
+            });
+            break;
+          default:
+            break; // only noise ops join noise groups
+        }
+    }
+    return flips;
 }
 
 std::uint64_t
@@ -421,37 +456,17 @@ FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
     scratch.x.assign(nQubits * words, 0);
     scratch.z.assign(nQubits * words, 0);
     scratch.meas.assign(nMeas * words, 0);
-    scratch.tape.resize(nTapeSlots * words);
+    scratch.tape.assign(nTapeSlots * words, 0);
     scratch.fold.resize(words);
-    if (words > 1)
-        scratch.stage.resize(nTapeSlots * words);
 
-    // Word-by-word: exactly the draw order of W sequential 64-shot
-    // batches.  Each batch resolves into a batch-major staging row
-    // (contiguous writes); a single blocked transpose below produces
-    // the slot-major layout replayBlock consumes.  Writing slot-major
-    // directly would stride the tape by `words` words per slot — one
-    // cache line per write at width 8 — multiplying resolution write
-    // traffic by the width.  At width 1 the two layouts coincide, so
-    // the tape is written in place.
+    // Word by word, slice by slice: exactly the draw order of W
+    // sequential 64-shot batches, writing straight into the
+    // slot-major tape (word w of slot t at tape[t * words + w]).
     std::uint64_t flips = 0;
-    auto* tape = scratch.tape.data();
-    for (std::size_t w = 0; w < words; ++w) {
-        auto* row = words == 1 ? tape
-                               : scratch.stage.data() + w * nTapeSlots;
-        flips += resolveOps(rngOps.data(), rngOps.data() + rngOps.size(),
-                            row, 0, depol2Retries, rng);
-    }
-
-    // stage[w * slots + s] -> tape[s * words + w].  Slot-outer order
-    // keeps the tape writes contiguous; the reads advance `words`
-    // sequential streams, one per batch row.
-    if (words > 1) {
-        const auto* stage = scratch.stage.data();
-        for (std::size_t s = 0; s < nTapeSlots; ++s)
-            for (std::size_t w = 0; w < words; ++w)
-                tape[s * words + w] = stage[w * nTapeSlots + s];
-    }
+    for (std::size_t w = 0; w < words; ++w)
+        for (const auto& info : slices)
+            flips += resolveSlice(info, scratch.tape.data() + w, 0, words,
+                                  rng);
     return flips;
 }
 
@@ -531,10 +546,9 @@ FrameProgram::runSlice(std::size_t s, FrameStreamScratch& scratch,
                          scratch.measCursor, ", slice starts at ",
                          info.measBegin, ")");
     auto* tape = scratch.tape.data();
+    std::fill_n(tape, info.tapeEnd - info.tapeBegin, 0);
     const std::uint64_t flips =
-        resolveOps(rngOps.data() + info.rngBegin,
-                   rngOps.data() + info.rngEnd, tape, info.tapeBegin,
-                   depol2Retries, rng);
+        resolveSlice(info, tape, info.tapeBegin, 1, rng);
     const std::size_t mask = ringCapacity - 1;
     auto* ring = scratch.measRing.data();
     replayOps(stream.data() + info.opBegin, stream.data() + info.opEnd,

@@ -22,15 +22,29 @@
  * alike — is the same two passes: resolve the noise tape, then replay
  * the op stream over it (see "word-block execution" below).
  *
- * The compiled program consumes the RNG stream *identically* to the
- * op-list reference interpreter (FrameSimulator::sampleDetectorsReference):
- * every op that draws randomness is kept (even no-op ones like
- * X_ERROR(p=0), whose biasedWord call returns without drawing —
- * dropping it would be safe, but keeping the call sites aligned makes
- * the equivalence argument local to each opcode), the op order is
- * unchanged, and pre-resolved probabilities are the same IEEE doubles
- * the interpreter would compute per batch.  This is what lets
- * fixed-seed artifacts survive the migration bit-for-bit.
+ * Noise is resolved *sparsely* (geometric skip-sampling, the technique
+ * of Gidney's Stim, arXiv:2103.02202): compile groups each slice's
+ * noise sites by channel (opcode and probabilities), and resolution
+ * jumps from one erring (site, lane) pair to the next, drawing the
+ * Pauli only where a lane errs.  The RNG-consumption contract, per
+ * 64-shot batch and per slice, is:
+ *
+ *   1. one rng() collapse word per M, in op order;
+ *   2. for each distinct channel among the slice's noise ops with
+ *      p > 0, in order of first appearance, a walk over the
+ *      (site x 64-lane) grid of that group's sites, site-major:
+ *      skips come from Rng::geometricSkip, and each erring lane then
+ *      draws its Pauli — DEPOL1 uniformInt(3) (X, Y, Z), DEPOL2
+ *      uniformInt(15) + 1 (bits X_a, Z_a, X_b, Z_b), PAULI1 one
+ *      uniform() against the cumulative P(X) and P(X or Y); X/Z_ERROR
+ *      draw nothing more.
+ *
+ * The contract is statistically, not bit-for-bit, equivalent to the
+ * op-list reference interpreter (FrameSimulator::sampleDetectorsReference,
+ * one biasedWord per noise word), which stays as the independent
+ * oracle of the statistical-equivalence tests.  It is bit-identical
+ * across block widths, streaming slices and worker counts, because
+ * every path walks batch w's slices in order before batch w + 1's.
  */
 
 #pragma once
@@ -58,7 +72,7 @@ enum class FrameOpCode : std::uint8_t
     MR,      ///< record x[a], then clear (no rng draw)
     XError,  ///< p0 = probability
     ZError,  ///< p0 = probability
-    Pauli1,  ///< p0 = ptot, p1 = P(X | error), p2 = P(Y | error, not X)
+    Pauli1,  ///< p0 = ptot, p1 = P(X | error), p2 = P(X or Y | error)
     Depol1,  ///< p0 = probability
     Depol2,  ///< qubits a/b, p0 = probability
 };
@@ -71,7 +85,7 @@ struct FrameOp
     std::uint32_t b = 0;
     /**
      * First noise-tape slot of this op: the RNG resolution pass
-     * writes the op's drawn masks into tape rows [tape, tape + slots),
+     * writes the op's resolved masks into tape rows [tape, tape + slots),
      * and the replay pass XORs them into the frame.  Slots are
      * program-wide; a streaming slice's tape window starts at its
      * FrameSliceInfo::tapeBegin.  Zero-slot ops (pure Cliffords, R)
@@ -98,9 +112,6 @@ struct FrameBlockScratch
     std::vector<std::uint64_t> z;
     std::vector<std::uint64_t> meas;
     std::vector<std::uint64_t> tape; ///< resolved noise masks, slot-major
-    /// Batch-major resolution staging (transposed into `tape`; see
-    /// resolveNoiseTape) — untouched at width 1.
-    std::vector<std::uint64_t> stage;
     std::vector<std::uint64_t> fold; ///< annotation-fold accumulator row
 };
 
@@ -116,9 +127,12 @@ struct FrameSliceInfo
 {
     std::uint32_t opBegin = 0;   ///< first compiled op of the slice
     std::uint32_t opEnd = 0;
-    std::uint32_t rngBegin = 0;  ///< first RNG-consuming op (rngOps index)
-    std::uint32_t rngEnd = 0;
+    std::uint32_t collapseBegin = 0; ///< first M collapse slot entry
+    std::uint32_t collapseEnd = 0;
+    std::uint32_t groupBegin = 0; ///< first equal-channel noise group
+    std::uint32_t groupEnd = 0;
     std::uint32_t tapeBegin = 0; ///< first noise-tape slot of the slice
+    std::uint32_t tapeEnd = 0;
     std::uint32_t measBegin = 0; ///< first measurement record
     std::uint32_t measEnd = 0;
     std::uint32_t detBegin = 0;  ///< first detector emitted in the slice
@@ -152,17 +166,9 @@ struct FrameStreamScratch
 class FrameProgram
 {
   public:
-    /**
-     * Lower @p circuit.  @p depol2_retries is the rejection-sampling
-     * retry budget of the DEPOL2 channel; the default matches the
-     * reference interpreter and must not be changed outside tests (the
-     * RNG-consumption contract pins it).
-     */
+    /** Lower @p circuit. */
     static std::shared_ptr<const FrameProgram>
-    compile(const Circuit& circuit, int depol2_retries = kDepol2Retries);
-
-    /** Reference interpreter's DEPOL2 retry budget. */
-    static constexpr int kDepol2Retries = 12;
+    compile(const Circuit& circuit);
 
     std::size_t numQubits() const { return nQubits; }
     std::size_t numMeasurements() const { return nMeas; }
@@ -194,16 +200,16 @@ class FrameProgram
     //
     // runBatchBlock() executes W consecutive 64-shot batches at once
     // and is bit-identical to W sequential runBatchBlock(.., 1, ..)
-    // calls on the same generator — and to the op-list reference
-    // interpreter — including the generator's post-state.  The
-    // equivalence rests on two facts:
+    // calls on the same generator — and to the streaming slices —
+    // including the generator's post-state.  The equivalence rests on
+    // two facts:
     //
-    //   1. RNG consumption is *frame-independent*: every draw site —
-    //      including the DEPOL2 rejection retries, which depend only on
-    //      previously drawn values — consumes the stream without
-    //      looking at x/z.  So the resolution pass can draw word w's
-    //      entire noise tape before word w+1's (the exact sequential
-    //      order the reference interpreter uses) while deferring all
+    //   1. RNG consumption is *frame-independent*: the contract in the
+    //      file comment (collapse words, then per-channel skip walks with
+    //      per-hit Pauli draws) depends only on previously drawn
+    //      values, never on x/z.  So the resolution pass can draw word
+    //      w's entire noise tape, slice by slice, before word w+1's
+    //      (the order W sequential batches use) while deferring all
     //      frame updates.
     //   2. Frame propagation is bitwise per lane: with the draws fixed
     //      on the tape, replaying the op stream over W-word rows
@@ -217,13 +223,15 @@ class FrameProgram
     std::size_t tapeWords() const { return nTapeSlots; }
 
     /**
-     * Pass 1: size @p scratch for a @p words-word block and resolve
-     * the whole block's noise tape, drawing word-by-word in the exact
-     * sequential 64-shot order.  Frame and measurement rows are
-     * zeroed.  Returns the number of applied noise-op error lanes over
-     * all words (the frame_flips counter contribution), popcounted
-     * over all 64 lanes of every word including idle lanes of a final
-     * partial batch — the reference interpreter's accounting.
+     * Pass 1: size @p scratch for a @p words-word block, zero the
+     * slot-major tape, and resolve the whole block's noise into it,
+     * word by word and slice by slice (the sequential 64-shot order),
+     * setting each erring lane's bits directly at
+     * tape[slot * words + w].  Frame and measurement rows are zeroed.
+     * Returns the number of erring noise-op lanes over all words (the
+     * frame_flips counter contribution), counted over all 64 lanes of
+     * every word including idle lanes of a final partial batch — the
+     * reference interpreter's accounting.
      */
     std::uint64_t resolveNoiseTape(FrameBlockScratch& scratch,
                                    std::size_t words, Rng& rng) const;
@@ -258,10 +266,10 @@ class FrameProgram
     // --- streaming (sliced) execution -------------------------------
     //
     // Slices are op ranges of the same program, executed by the same
-    // two passes at width 1: runSlice() resolves the slice's range of
-    // RNG-consuming ops onto a one-slice tape, then replays the slice's
-    // op range over it, recording measurements into the bounded ring.
-    // Slice tapes concatenate to the whole-program tape, so running
+    // two passes at width 1: runSlice() resolves the slice's collapse
+    // words and noise groups onto a one-slice tape, then replays the
+    // slice's op range over it, recording measurements into the
+    // bounded ring.  Resolution is defined per slice, so running
     // beginStream() then runSlice(0..numSlices()-1) consumes the RNG
     // stream *identically* to one runBatchBlock(.., 1, ..) call.
     // foldSlice() over all slices reproduces foldAnnotationsBlock() at
@@ -312,14 +320,41 @@ class FrameProgram
                    std::size_t obs_stride) const;
 
   private:
+    /**
+     * Noise sites of one slice sharing one channel (opcode and
+     * probabilities): groupSlots[siteBegin, siteEnd) are their first
+     * tape slots, in op order.  p = 0 sites never err and join no
+     * group.
+     */
+    struct NoiseGroup
+    {
+        FrameOpCode code = FrameOpCode::XError;
+        double log1mP = 0.0; ///< log1p(-p0); -inf for p0 >= 1
+        double p1 = 0.0;     ///< PAULI1 thresholds (FrameOp::p1/p2)
+        double p2 = 0.0;
+        std::uint32_t siteBegin = 0;
+        std::uint32_t siteEnd = 0;
+    };
+
+    /**
+     * Resolve slice @p info of one 64-shot batch: slot t's word lands
+     * at tape[(t - base) * stride], which must be zero on entry for
+     * noise slots.  Returns the erring-lane count.
+     */
+    std::uint64_t resolveSlice(const FrameSliceInfo& info,
+                               std::uint64_t* tape, std::uint32_t base,
+                               std::size_t stride, Rng& rng) const;
+
     std::size_t nQubits = 0;
     std::size_t nMeas = 0;
     std::size_t nDets = 0;
     std::size_t nObs = 0;
-    int depol2Retries = kDepol2Retries;
     std::vector<FrameOp> stream;
-    /** RNG-consuming ops only (tape slots assigned), resolution order. */
-    std::vector<FrameOp> rngOps;
+    /** Tape slot of every M, in op order (slices own ranges). */
+    std::vector<std::uint32_t> collapseSlots;
+    /** Equal-channel noise groups, slice-major, compile order. */
+    std::vector<NoiseGroup> groups;
+    std::vector<std::uint32_t> groupSlots;
     std::size_t nTapeSlots = 0;
     std::size_t maxSliceTapeSlots = 0; ///< streaming tape row size
     std::vector<std::uint32_t> detOffsets; ///< size nDets + 1

@@ -4,14 +4,16 @@
  * entry points (arena-backed union-find, buffer-backed greedy) must be
  * bit-identical to their dense reference implementations, weight-0
  * shots must be counted by the trivial-shot bypass, all observables
- * must be failure-checked, and the packed samples plus every decode
- * counter must be invariant across 1/2/8 workers.
+ * must be failure-checked, and the packed samples, sampler flip
+ * counts and every decode counter must be invariant across 1/2/8
+ * workers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hh"
@@ -22,6 +24,9 @@
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
 #include "stab/frame.hh"
+#include "stab/frame_program.hh"
+
+#include "../stab/opcode_soup.hh"
 
 namespace hetarch {
 namespace qec {
@@ -165,52 +170,72 @@ TEST(PackedDecode, PackedSamplesMatchReferenceAcrossWorkerCounts)
 {
     CircuitNoise noise;
     noise.p2 = 3e-3;
-    const auto circuit = surfaceMemoryZ(3, 3, noise);
+    const std::vector<std::pair<const char*, stab::Circuit>> circuits = {
+        {"surfaceMemoryZ", surfaceMemoryZ(3, 3, noise)},
+        {"opcodeSoup", stab::opcodeSoup()},
+    };
     const std::size_t shots = 1000;
     const std::uint64_t base = 0xfeedbeefcafe1234ull;
     const exec::ShotScheduler sched(shots);
+    const std::size_t saved_width = stab::frameBlockWords();
 
-    // Reference: the legacy op-list interpreter, run serially chunk by
-    // chunk with the production chunk streams.
-    const stab::FrameSimulator frame(circuit);
-    stab::DetectorSamples reference;
-    reference.resize(0, circuit.numDetectors(), circuit.numObservables());
-    for (std::size_t i = 0; i < sched.numChunks(); ++i) {
-        const auto chunk = sched.chunk(i);
-        Rng chunk_rng = exec::ShotScheduler::chunkRng(base, chunk.index);
-        reference.append(
-            frame.sampleDetectorsReference(chunk.count, chunk_rng));
-    }
-    ASSERT_EQ(reference.shots, shots);
+    for (const auto& [name, circuit] : circuits) {
+        SCOPED_TRACE(name);
+        const stab::FrameSimulator frame(circuit);
 
-    for (const unsigned workers : {1u, 2u, 8u}) {
-        exec::setThreadCount(workers);
-        std::vector<stab::DetectorSamples> parts(sched.numChunks());
-        exec::parallelFor(sched.numChunks(), [&](std::size_t i) {
+        // Reference: serial chunk-by-chunk sampling through 1-word
+        // blocks, with the production chunk streams.
+        stab::setFrameBlockWords(1);
+        obs::Registry::instance().reset();
+        stab::DetectorSamples reference;
+        reference.resize(0, circuit.numDetectors(),
+                         circuit.numObservables());
+        for (std::size_t i = 0; i < sched.numChunks(); ++i) {
             const auto chunk = sched.chunk(i);
-            Rng chunk_rng =
-                exec::ShotScheduler::chunkRng(base, chunk.index);
-            parts[i] = frame.sampleDetectors(chunk.count, chunk_rng);
-        });
-        stab::DetectorSamples packed;
-        packed.resize(0, circuit.numDetectors(),
-                      circuit.numObservables());
-        for (auto& part : parts)
-            packed.append(part);
+            Rng chunk_rng = exec::ShotScheduler::chunkRng(base, chunk.index);
+            reference.append(frame.sampleDetectors(chunk.count, chunk_rng));
+        }
+        ASSERT_EQ(reference.shots, shots);
+        const auto ref_flips = counterValue(
+            obs::Registry::instance().snapshot(), "stab.sampler.frame_flips");
+        EXPECT_GT(ref_flips, 0u);
 
-        EXPECT_EQ(packed.detWords, reference.detWords)
-            << workers << " workers";
-        EXPECT_EQ(packed.obsWords, reference.obsWords)
-            << workers << " workers";
-        // The compat accessors view the same bits.
-        EXPECT_EQ(packed.unpackedDetectors(),
-                  reference.unpackedDetectors())
-            << workers << " workers";
-        EXPECT_EQ(packed.unpackedObservables(),
-                  reference.unpackedObservables())
-            << workers << " workers";
+        stab::setFrameBlockWords(stab::kMaxFrameBlockWords);
+        for (const unsigned workers : {1u, 2u, 8u}) {
+            exec::setThreadCount(workers);
+            obs::Registry::instance().reset();
+            std::vector<stab::DetectorSamples> parts(sched.numChunks());
+            exec::parallelFor(sched.numChunks(), [&](std::size_t i) {
+                const auto chunk = sched.chunk(i);
+                Rng chunk_rng =
+                    exec::ShotScheduler::chunkRng(base, chunk.index);
+                parts[i] = frame.sampleDetectors(chunk.count, chunk_rng);
+            });
+            stab::DetectorSamples packed;
+            packed.resize(0, circuit.numDetectors(),
+                          circuit.numObservables());
+            for (auto& part : parts)
+                packed.append(part);
+
+            EXPECT_EQ(packed.detWords, reference.detWords)
+                << workers << " workers";
+            EXPECT_EQ(packed.obsWords, reference.obsWords)
+                << workers << " workers";
+            EXPECT_EQ(counterValue(obs::Registry::instance().snapshot(),
+                                   "stab.sampler.frame_flips"),
+                      ref_flips)
+                << workers << " workers";
+            // The compat accessors view the same bits.
+            EXPECT_EQ(packed.unpackedDetectors(),
+                      reference.unpackedDetectors())
+                << workers << " workers";
+            EXPECT_EQ(packed.unpackedObservables(),
+                      reference.unpackedObservables())
+                << workers << " workers";
+        }
+        exec::setThreadCount(0);
     }
-    exec::setThreadCount(0);
+    stab::setFrameBlockWords(saved_width);
 }
 
 TEST(PackedDecode, FailuresAndTrivialShotsAreThreadInvariant)

@@ -2,10 +2,10 @@
  * @file
  * Pins the streaming sampler contract (frame_program.hh slices +
  * DetectorStream): sliced execution must consume the RNG stream
- * identically to the op-list reference interpreter and reassemble to
- * bit-identical packed samples, while the per-stream measurement
- * storage stays bounded by the program's lookback, independent of the
- * round count.
+ * identically to the block sampler at every width and reassemble to
+ * bit-identical packed samples and flip counts, while the per-stream
+ * measurement storage stays bounded by the program's lookback,
+ * independent of the round count.
  */
 
 #include <gtest/gtest.h>
@@ -74,29 +74,34 @@ TEST(FrameProgramSlices, MeasurementRingIsBoundedByLookbackNotRounds)
     EXPECT_GE(long_prog->measRingCapacity(), long_prog->measLookback());
 }
 
+std::uint64_t
+frameFlips()
+{
+    for (const auto& [name, value] :
+         obs::Registry::instance().snapshot().counters)
+        if (name == "stab.sampler.frame_flips")
+            return value;
+    return 0;
+}
+
 TEST(DetectorStream, ReassemblesToBatchSamplerBitsExactly)
 {
-    // The reference interpreter shares no code with the tape/replay
-    // path the stream runs, so it is the independent oracle here.
     const std::vector<std::pair<const char*, Circuit>> circuits = {
         {"surfaceMemoryZ", qec::surfaceMemoryZ(5, 6, testNoise())},
         {"opcodeSoup", opcodeSoup()},
     };
+    const std::size_t saved_width = frameBlockWords();
     for (const auto& [name, circ] : circuits) {
         SCOPED_TRACE(name);
         const auto prog = FrameProgram::compile(circ);
         ASSERT_GE(prog->numSlices(), 2u);
-        const FrameSimulator sim(circ);
 
-        // 100 shots: one full 64-lane batch plus a 36-lane partial
-        // batch.
-        const std::size_t shots = 100;
-        Rng ref_rng(424242);
-        const auto samples = sim.sampleDetectorsReference(shots, ref_rng);
-
+        // 600 shots: 9 full 64-lane batches plus a 24-lane partial
+        // batch — a partial block at width 8 too.
+        const std::size_t shots = 600;
+        obs::Registry::instance().reset();
         Rng stream_rng(424242);
         DetectorStream stream(prog, shots);
-        EXPECT_EQ(stream.numBatches(), samples.numWords);
 
         DetectorSamples rebuilt;
         rebuilt.resize(shots, prog->numDetectors(),
@@ -120,44 +125,60 @@ TEST(DetectorStream, ReassemblesToBatchSamplerBitsExactly)
                       block.slice + 1 == prog->numSlices());
         }
         EXPECT_EQ(blocks, stream.numBatches() * prog->numSlices());
+        const std::uint64_t stream_flips = frameFlips();
+        const std::uint64_t stream_next = stream_rng();
 
-        EXPECT_EQ(rebuilt.detWords, samples.detWords);
-        EXPECT_EQ(rebuilt.obsWords, samples.obsWords);
-
-        // RNG-consumption parity: both generators must sit at the same
-        // stream position after sampling the same shots.
-        EXPECT_EQ(ref_rng(), stream_rng());
+        // The stream must equal 1-word blocks and full 8-word blocks:
+        // samples, flip totals and RNG post-state.
+        const FrameSimulator sim(prog);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+            setFrameBlockWords(width);
+            obs::Registry::instance().reset();
+            Rng batch_rng(424242);
+            const auto samples = sim.sampleDetectors(shots, batch_rng);
+            EXPECT_EQ(stream.numBatches(), samples.numWords);
+            EXPECT_EQ(rebuilt.detWords, samples.detWords)
+                << "width " << width;
+            EXPECT_EQ(rebuilt.obsWords, samples.obsWords)
+                << "width " << width;
+            EXPECT_EQ(frameFlips(), stream_flips) << "width " << width;
+            EXPECT_EQ(batch_rng(), stream_next) << "width " << width;
+        }
     }
+    setFrameBlockWords(saved_width);
 }
 
 TEST(DetectorStream, SliceSequenceConsumesRngLikeRunBatch)
 {
-    const auto circ = qec::surfaceMemoryZ(3, 3, testNoise());
-    const auto prog = FrameProgram::compile(circ);
-    const FrameSimulator sim(circ);
+    const std::vector<std::pair<const char*, Circuit>> circuits = {
+        {"surfaceMemoryZ", qec::surfaceMemoryZ(3, 3, testNoise())},
+        {"opcodeSoup", opcodeSoup()},
+    };
+    for (const auto& [name, circ] : circuits) {
+        SCOPED_TRACE(name);
+        const auto prog = FrameProgram::compile(circ);
 
-    // One 64-shot reference batch: its frame_flips counter delta is
-    // the applied error-lane count the slices must reproduce.
-    obs::Registry::instance().reset();
-    Rng ref_rng(77);
-    const auto unused = sim.sampleDetectorsReference(64, ref_rng);
-    (void)unused;
-    std::uint64_t ref_flips = 0;
-    for (const auto& [name, value] :
-         obs::Registry::instance().snapshot().counters)
-        if (name == "stab.sampler.frame_flips")
-            ref_flips = value;
-    EXPECT_GT(ref_flips, 0u);
+        // Three consecutive 64-shot batches through 1-word blocks ...
+        FrameBlockScratch block_scratch;
+        Rng block_rng(77);
+        std::uint64_t block_flips = 0;
+        for (int batch = 0; batch < 3; ++batch)
+            block_flips += prog->runBatchBlock(block_scratch, 1, block_rng);
+        EXPECT_GT(block_flips, 0u);
 
-    FrameStreamScratch stream_scratch;
-    Rng slice_rng(77);
-    prog->beginStream(stream_scratch);
-    std::uint64_t slice_flips = 0;
-    for (std::size_t s = 0; s < prog->numSlices(); ++s)
-        slice_flips += prog->runSlice(s, stream_scratch, slice_rng);
+        // ... and through the slice sequence on the same seed.
+        FrameStreamScratch stream_scratch;
+        Rng slice_rng(77);
+        std::uint64_t slice_flips = 0;
+        for (int batch = 0; batch < 3; ++batch) {
+            prog->beginStream(stream_scratch);
+            for (std::size_t s = 0; s < prog->numSlices(); ++s)
+                slice_flips += prog->runSlice(s, stream_scratch, slice_rng);
+        }
 
-    EXPECT_EQ(slice_flips, ref_flips);
-    EXPECT_EQ(ref_rng(), slice_rng());
+        EXPECT_EQ(slice_flips, block_flips);
+        EXPECT_EQ(block_rng(), slice_rng());
+    }
 }
 
 } // namespace

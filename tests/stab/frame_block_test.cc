@@ -6,13 +6,15 @@
  *     including ragged shot counts that end in a partial word and in a
  *     partial block;
  *   - the block path consumes the RNG stream exactly like the
- *     sequential 64-shot path (noise words are resolved in the same
- *     order), so generator state after sampling matches too;
+ *     sequential 64-shot path (noise is resolved in the same word and
+ *     slice order), so generator state after sampling matches too;
+ *   - a W-word block's slot-major tape holds, in column w, exactly the
+ *     slice tapes streaming batch w resolves;
  *   - runBatchBlock over W words reproduces W sequential 1-word
  *     runBatchBlock calls word for word (measurement rows and flip
  *     totals);
  *   - every stab.sampler.* counter delta is invariant under the
- *     configured width.
+ *     configured width, and under the advisory stage timers.
  *
  * The circuit under test (opcode_soup.hh) covers every opcode the
  * frame pipeline lowers.
@@ -22,10 +24,14 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hh"
 #include "obs/obs.hh"
+#include "qec/noise_model.hh"
+#include "qec/surface_circuit.hh"
 #include "stab/circuit.hh"
 #include "stab/frame.hh"
 #include "stab/frame_program.hh"
@@ -83,20 +89,47 @@ TEST(FrameBlock, SamplesAreBitIdenticalAtEveryWidth)
     }
 }
 
-TEST(FrameBlock, BlockPathMatchesReferenceInterpreter)
+TEST(FrameBlock, BlockTapeMatchesStreamingSliceTapes)
 {
-    const auto circuit = opcodeSoup();
-    const FrameSimulator frame(circuit);
-    WidthGuard guard;
-    setFrameBlockWords(8);
+    qec::CircuitNoise noise;
+    noise.p2 = 1e-2;
+    noise.p1 = 1e-3;
+    const std::vector<std::pair<const char*, Circuit>> circuits = {
+        {"opcodeSoup", opcodeSoup()},
+        {"surfaceMemoryZ", qec::surfaceMemoryZ(3, 3, noise)},
+    };
+    for (const auto& [name, circuit] : circuits) {
+        SCOPED_TRACE(name);
+        const auto prog = FrameProgram::compile(circuit);
+        ASSERT_GE(prog->numSlices(), 2u);
+        const std::size_t words = kMaxFrameBlockWords;
 
-    Rng rng_packed(42);
-    Rng rng_ref(42);
-    const auto packed = frame.sampleDetectors(500, rng_packed);
-    const auto ref = frame.sampleDetectorsReference(500, rng_ref);
-    EXPECT_EQ(packed.detWords, ref.detWords);
-    EXPECT_EQ(packed.obsWords, ref.obsWords);
-    EXPECT_EQ(rng_packed(), rng_ref());
+        Rng rng_blk(42);
+        FrameBlockScratch blk;
+        const std::uint64_t flips_blk =
+            prog->resolveNoiseTape(blk, words, rng_blk);
+
+        // Stream the same words batch by batch: each slice's one-slice
+        // tape must equal the block tape's window, column w.
+        Rng rng_str(42);
+        FrameStreamScratch str;
+        std::uint64_t flips_str = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+            prog->beginStream(str);
+            for (std::size_t s = 0; s < prog->numSlices(); ++s) {
+                flips_str += prog->runSlice(s, str, rng_str);
+                const auto& info = prog->sliceInfo(s);
+                for (std::uint32_t t = info.tapeBegin; t < info.tapeEnd;
+                     ++t)
+                    ASSERT_EQ(str.tape[t - info.tapeBegin],
+                              blk.tape[t * words + w])
+                        << "word " << w << " slot " << t;
+            }
+        }
+        EXPECT_EQ(flips_blk, flips_str);
+        EXPECT_GT(flips_blk, 0u);
+        EXPECT_EQ(rng_blk(), rng_str());
+    }
 }
 
 TEST(FrameBlock, RunBatchBlockReproducesSequentialBatches)
@@ -156,6 +189,48 @@ TEST(FrameBlock, CounterDeltasAreWidthInvariant)
             EXPECT_EQ(counterValue(got, name), counterValue(ref, name))
                 << name << " at width " << width;
         }
+    }
+}
+
+TEST(FrameBlock, StageTimersLeaveSamplesAndCountersUnchanged)
+{
+    const auto circuit = opcodeSoup();
+    const FrameSimulator frame(circuit);
+    WidthGuard guard;
+    setFrameBlockWords(4);
+    const bool saved_timing = obs::timingEnabled();
+
+    const auto run = [&](bool timing) {
+        obs::setTimingEnabled(timing);
+        obs::Registry::instance().reset();
+        Rng rng(2718);
+        auto samples = frame.sampleDetectors(1000, rng);
+        return std::make_tuple(std::move(samples),
+                               obs::Registry::instance().snapshot(),
+                               rng());
+    };
+    const auto [off, off_snap, off_next] = run(false);
+    const auto [on, on_snap, on_next] = run(true);
+    obs::setTimingEnabled(saved_timing);
+
+    EXPECT_EQ(on.detWords, off.detWords);
+    EXPECT_EQ(on.obsWords, off.obsWords);
+    EXPECT_EQ(on_next, off_next);
+    EXPECT_EQ(on_snap.counters, off_snap.counters);
+
+    // 1000 shots = 16 words = 4 blocks of 4 words: one record per
+    // block and stage with timing on, none with it off.
+    const auto records = [](const obs::Snapshot& snap,
+                            const std::string& name) {
+        for (const auto& h : snap.histograms)
+            if (h.name == name)
+                return h.count;
+        return std::uint64_t{0};
+    };
+    for (const char* name :
+         {"stab.sampler.tape_ns", "stab.sampler.replay_ns"}) {
+        EXPECT_EQ(records(on_snap, name), 4u) << name;
+        EXPECT_EQ(records(off_snap, name), 0u) << name;
     }
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared test circuit for the frame-sampler suites: one circuit that
+ * Shared test circuits for the frame-sampler suites: opcodeSoup
  * touches every opcode the frame pipeline lowers — all unitaries,
  * M/R/MR, both biased errors, the Pauli-1 channel, and both
- * depolarizing channels (DEPOL2 exercises the rejection-retry tape
- * rows) — over two noisy measurement rounds, so it also compiles to
- * two streaming slices.
+ * depolarizing channels — over two noisy measurement rounds, so it
+ * also compiles to two streaming slices; the probe circuits read a
+ * single noise channel's applied Pauli out as detectors.
  */
 
 #pragma once
@@ -49,6 +49,56 @@ opcodeSoup()
     for (std::uint32_t q = 0; q < 4; ++q)
         c.detector({r0[q], r1[q]});
     c.observableInclude(0, {r1[0], r1[2]});
+    return c;
+}
+
+/**
+ * Read qubit @p q's Pauli frame out through fresh ancillas: detector
+ * x, then detector z.  CX/H draw no randomness, so the gadget leaves
+ * the channel's RNG stream untouched.
+ *   - cx(q, ax) copies q's X frame onto ax;
+ *   - cx(az, q) then h(az) moves q's Z frame into az's X frame;
+ * and measuring an ancilla records its X frame.
+ */
+inline void
+appendPauliReadout(Circuit& c, std::uint32_t q, std::uint32_t ax,
+                   std::uint32_t az)
+{
+    c.cx(q, ax);
+    c.detector({c.measure(ax)});
+    c.cx(az, q);
+    c.h(az);
+    c.detector({c.measure(az)});
+}
+
+/** DEPOL2(p) on qubits 0/1; detectors read (x0, z0, x1, z1). */
+inline Circuit
+depol2ProbeCircuit(double p)
+{
+    Circuit c(6);
+    c.depolarize2(0, 1, p);
+    appendPauliReadout(c, 0, 2, 3);
+    appendPauliReadout(c, 1, 4, 5);
+    return c;
+}
+
+/** DEPOL1(p) on qubit 0; detectors read (x, z). */
+inline Circuit
+depol1ProbeCircuit(double p)
+{
+    Circuit c(3);
+    c.depolarize1(0, p);
+    appendPauliReadout(c, 0, 1, 2);
+    return c;
+}
+
+/** PAULI_CHANNEL_1(px, py, pz) on qubit 0; detectors read (x, z). */
+inline Circuit
+pauli1ProbeCircuit(double px, double py, double pz)
+{
+    Circuit c(3);
+    c.pauliChannel1(0, px, py, pz);
+    appendPauliReadout(c, 0, 1, 2);
     return c;
 }
 
