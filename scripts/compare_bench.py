@@ -78,9 +78,14 @@ REQUIRED_COMPANIONS = {
                                "service.jobs.rejected"),
     # The shot-batched decoder's block accounting must stay live on
     # every batch-decode path; dropping it silently would hide the
-    # word-block pipeline falling back to per-shot decoding.
+    # word-block pipeline falling back to per-shot decoding.  The
+    # union-find work counters ride along: they split decode work into
+    # growth, merges and peeling wherever batches are decoded.
     "qec.decode.batch_blocks": ("qec.decode.batch_shots",
-                                "qec.decode.batch_dedup_hits"),
+                                "qec.decode.batch_dedup_hits",
+                                "qec.decode.uf_grow_steps",
+                                "qec.decode.uf_unions",
+                                "qec.decode.uf_peeled_edges"),
     # The word-parallel sampler's noise-tape accounting must stay live
     # wherever the packed sampler runs.
     "stab.sampler.batches": ("stab.sampler.noise_words",),
@@ -233,6 +238,9 @@ def self_test():
                      "qec.decode.batch_blocks": 16,
                      "qec.decode.batch_shots": 4096,
                      "qec.decode.batch_dedup_hits": 700,
+                     "qec.decode.uf_grow_steps": 52000,
+                     "qec.decode.uf_unions": 21000,
+                     "qec.decode.uf_peeled_edges": 9000,
                      "stab.sampler.batches": 64,
                      "stab.sampler.noise_words": 35840,
                      "stab.sampler.simd_width": 4},
@@ -343,6 +351,10 @@ def self_test():
     del no_batch["counters"]["qec.decode.batch_dedup_hits"]
     checks.append(("batch decode companion dropped from both sides",
                    result(no_batch, no_batch, bench) == 1))
+    no_uf = json.loads(json.dumps(metrics))
+    del no_uf["counters"]["qec.decode.uf_unions"]
+    checks.append(("union-find work companion dropped from both sides",
+                   result(no_uf, no_uf, bench) == 1))
     no_batch_all = json.loads(json.dumps(metrics))
     for key in list(no_batch_all["counters"]):
         if key.startswith("qec.decode.batch_"):

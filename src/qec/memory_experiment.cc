@@ -39,8 +39,10 @@ obs::Histogram& hDecodeChunkNs = obs::histogram("qec.decode_chunk_ns");
 
 /** Publish one kernel's accumulated batch-decode stats. */
 void
-publishBatchStats(const SlidingWindowDecoder::Stats& st)
+publishBatchStats(const SlidingWindowDecoder& kernel)
 {
+    const auto& st = kernel.stats();
+    kernel.publishUnionFindStats();
     cBatchBlocks.add(st.batchBlocks);
     cBatchShots.add(st.batchShots);
     cBatchDedupHits.add(st.dedupHits);
@@ -79,7 +81,7 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
     cShotsDecoded.add(samples.shots);
     cLogicalFailures.add(failures);
     cTrivialShots.add(kernel.stats().trivialShots);
-    publishBatchStats(kernel.stats());
+    publishBatchStats(kernel);
     return failures;
 }
 
@@ -122,7 +124,7 @@ runMemoryExperiment(const stab::Circuit& circuit, std::size_t shots,
         cShotsDecoded.add(chunk.count);
         cLogicalFailures.add(failures[i]);
         cTrivialShots.add(st.trivialShots);
-        publishBatchStats(st);
+        publishBatchStats(kernel);
         cShotsCompleted.add(chunk.count);
     });
     for (auto f : failures)

@@ -125,6 +125,12 @@ class SlidingWindowDecoder
     std::size_t peakStoredRounds() const { return window; }
 
     const Stats& stats() const { return acc; }
+    /** Publish the union-find decoders' work stats (qec.decode.uf_*). */
+    void publishUnionFindStats() const
+    {
+        decZ.stats().publish();
+        decX.stats().publish();
+    }
 
     /** Start a batch of @p lanes shots (1..64). */
     void beginBatch(std::size_t lanes);

@@ -1,6 +1,7 @@
 #include "qec/union_find.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <compare>
 #include <map>
@@ -11,6 +12,23 @@ namespace hetarch {
 namespace qec {
 
 namespace {
+
+// Union-find work counters (deterministic) and per-decode stage
+// timings (advisory), published per chunk from decoder-local Stats.
+obs::Counter& cGrowSteps = obs::counter("qec.decode.uf_grow_steps");
+obs::Counter& cUnions = obs::counter("qec.decode.uf_unions");
+obs::Counter& cPeeledEdges = obs::counter("qec.decode.uf_peeled_edges");
+obs::Histogram& hGrowNs = obs::histogram("qec.decode.grow_ns");
+obs::Histogram& hPeelNs = obs::histogram("qec.decode.peel_ns");
+
+std::uint64_t
+nowNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 /** Combine probabilities of two independent mechanisms with the same
  * effect: exactly one of them firing. */
@@ -185,6 +203,16 @@ DecodingGraph::projectSparse(std::span<const std::uint32_t> fired,
     }
 }
 
+void
+UnionFindDecoder::Stats::publish() const
+{
+    cGrowSteps.add(growSteps);
+    cUnions.add(unions);
+    cPeeledEdges.add(peeledEdges);
+    hGrowNs.merge(growNs);
+    hPeelNs.merge(peelNs);
+}
+
 UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     : g(graph)
 {
@@ -253,6 +281,7 @@ UnionFindDecoder::unite(std::size_t a, std::size_t b)
     // in the dense reference.
     if (members[ra].size() < members[rb].size())
         std::swap(ra, rb);
+    ++st.unions;
     parent[rb] = static_cast<std::int32_t>(ra);
     odd[ra] ^= odd[rb];
     touchesBoundary[ra] |= touchesBoundary[rb];
@@ -274,6 +303,8 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
     if (fired.empty())
         return 0;
 
+    const bool timed = obs::timingEnabled();
+    const std::uint64_t t0 = timed ? nowNs() : 0;
     ++epoch;
     worklist.clear();
     touchedNodes.clear();
@@ -327,6 +358,7 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
                     continue; // already fully grown and merged
                 }
                 grown[e_idx] += 2;
+                ++st.growSteps;
                 progress = true;
                 if (grown[e_idx] >= e.weight) {
                     grownEdges.push_back(e_idx);
@@ -364,6 +396,7 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
     // visited in ascending id order and adjacency lists are built in
     // ascending edge-id order so the spanning trees — and with them the
     // emitted corrections — match the dense reference bit for bit.
+    const std::uint64_t t1 = timed ? nowNs() : 0;
     std::uint32_t correction = 0;
 
     std::sort(grownEdges.begin(), grownEdges.end());
@@ -412,6 +445,7 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
             if (defect[v]) {
                 const auto [p, eid] = parentEdge[v];
                 correction ^= g.edges()[eid].observables;
+                ++st.peeledEdges;
                 if (applied_edges)
                     applied_edges->push_back(
                         static_cast<std::uint32_t>(eid));
@@ -420,6 +454,11 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
             }
         }
         defect[boundary] = 0; // boundary absorbs anything
+    }
+    if (timed) {
+        const std::uint64_t t2 = nowNs();
+        st.growNs.record(t1 - t0);
+        st.peelNs.record(t2 - t1);
     }
     return correction;
 }

@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "stab/dem.hh"
 
 namespace hetarch {
@@ -113,7 +114,30 @@ class DecodingGraph
 class UnionFindDecoder
 {
   public:
+    /**
+     * Work done by the sparse entry points since construction.  The
+     * counts are functions of the decoded syndromes alone (hence
+     * invariant under worker count and sampler width); the per-decode
+     * stage durations are recorded only while obs::timingEnabled().
+     */
+    struct Stats
+    {
+        std::uint64_t growSteps = 0;   ///< unit growths of frontier edges
+        std::uint64_t unions = 0;      ///< cluster merges
+        std::uint64_t peeledEdges = 0; ///< correction edges emitted
+        obs::LocalHistogram growNs;    ///< growth time per decode
+        obs::LocalHistogram peelNs;    ///< peeling time per decode
+
+        /**
+         * Add to the qec.decode.uf_* counters and merge into the
+         * advisory qec.decode.grow_ns / peel_ns histograms.
+         */
+        void publish() const;
+    };
+
     explicit UnionFindDecoder(const DecodingGraph& graph);
+
+    const Stats& stats() const { return st; }
 
     /**
      * Decode one syndrome (bit per node).  Returns the predicted
@@ -166,6 +190,7 @@ class UnionFindDecoder
     std::size_t unite(std::size_t a, std::size_t b);
 
     const DecodingGraph& g;
+    Stats st;
 
     // --- epoch-versioned scratch arena (decodeSparse only) ----------
     // A slot is valid iff its epoch stamp equals `epoch`; bumping
