@@ -8,13 +8,16 @@
  *    scans + weight-sorted, dedup-aware decodeBatch) vs the per-word
  *    beginBatch/pushBufferColumn/finishBatch loop it replaced, and vs
  *    the dense per-shot scalar reference arm (unpack every detector of
- *    every shot, project the full syndrome, decode dense) at
- *    d in {3, 5, 7}, at the fig. 6 threshold-level noise point (plus
- *    d = 13, the decode-heavy benchmark point) and at a sub-threshold
- *    production point.
+ *    every shot, project the full syndrome onto the observable-carrier
+ *    graph, decode dense) at d in {3, 5, 7}, at the fig. 6
+ *    threshold-level noise point (plus d = 13, the decode-heavy
+ *    benchmark point) and at a sub-threshold production point.
  *
  * The three-arm table cross-checks that all loops count the same
- * failures before reporting the speedups.
+ * failures before reporting the speedups.  The d = 13 fig. 6 row is
+ * then decoded once more with timing on, to split union-find decode
+ * time into growth and peeling (qec.decode.grow_ns / peel_ns) beside
+ * the work counters.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,11 +26,13 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/table.hh"
 #include "core/units.hh"
+#include "obs/obs.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/sliding_window.hh"
 #include "qec/surface_circuit.hh"
@@ -76,19 +81,15 @@ denseReferenceFailures(const qec::DecoderSetup& setup,
 {
     std::size_t failures = 0;
     std::vector<std::uint8_t> detectors(samples.numDetectors);
-    qec::UnionFindDecoder dec_z(setup.graphZ);
-    qec::UnionFindDecoder dec_x(setup.graphX);
+    qec::UnionFindDecoder dec(setup.graph);
     for (std::size_t s = 0; s < samples.shots; ++s) {
         const std::size_t w = s / 64;
         const std::size_t lane = s % 64;
         for (std::size_t d = 0; d < samples.numDetectors; ++d)
             detectors[d] = static_cast<std::uint8_t>(
                 (samples.detWord(d, w) >> lane) & 1);
-        std::uint32_t predicted = 0;
-        predicted ^=
-            dec_z.decode(setup.graphZ.projectSyndrome(detectors));
-        predicted ^=
-            dec_x.decode(setup.graphX.projectSyndrome(detectors));
+        const std::uint32_t predicted =
+            dec.decode(setup.graph.projectSyndrome(detectors));
         std::uint32_t actual = 0;
         for (std::size_t k = 0; k < samples.numObservables && k < 32; ++k)
             actual |= static_cast<std::uint32_t>(
@@ -234,6 +235,7 @@ main(int argc, char** argv)
         qec::CircuitNoise noise;
         std::vector<std::size_t> distances;
     };
+    std::vector<std::string> stage_split;
     const NoisePoint noise_points[] = {
         {"fig6", fig6Noise(), {3, 5, 7, 13}},
         {"p2=2e-3", noiseModel(2e-3), {3, 5, 7}}};
@@ -289,8 +291,38 @@ main(int argc, char** argv)
                   formatFixed(w_ms / b_ms, 1) + "x",
                   formatFixed(d_ms / b_ms, 1) + "x",
                   equal ? "yes" : "NO"});
+
+        if (d == 13) {
+            // A separate timed pass, so the stage clocks stay out of
+            // the table's timings.
+            const bool was_timed = hetarch::obs::timingEnabled();
+            hetarch::obs::setTimingEnabled(true);
+            qec::SlidingWindowDecoder timed_kernel(
+                *setup, qec::DecoderKind::UnionFind);
+            timed_kernel.decodeBuffer(samples);
+            hetarch::obs::setTimingEnabled(was_timed);
+            const auto& uf = timed_kernel.unionFindStats();
+            const double total =
+                static_cast<double>(timed_kernel.stats().decodeNs);
+            const double decodes =
+                static_cast<double>(std::max<std::uint64_t>(
+                    uf.growNs.count(), 1));
+            stage_split.push_back(
+                std::string(noise_name) + " d=13: grow " +
+                formatFixed(100.0 * uf.growNs.sum() / total, 1) +
+                "%, peel " +
+                formatFixed(100.0 * uf.peelNs.sum() / total, 1) +
+                "% of decode time; per decode " +
+                formatFixed(uf.growSteps / decodes, 0) + " grow steps, " +
+                formatFixed(uf.unions / decodes, 0) + " unions, " +
+                formatFixed(uf.peeledEdges / decodes, 0) +
+                " peeled edges");
+        }
     }
     s.print(std::cout);
+    std::cout << "\nunion-find stage split (timed pass):\n";
+    for (const auto& line : stage_split)
+        std::cout << "  " << line << "\n";
     std::cout.flush();
 
     hetarch::bench::exportMetrics();

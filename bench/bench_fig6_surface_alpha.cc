@@ -60,7 +60,7 @@ BM_UnionFindDecode_d13(benchmark::State& state)
     const auto circ = qec::surfaceMemoryZ(13, 13, fig6Noise());
     const auto dem = stab::buildDetectorErrorModel(circ);
     const auto graph = qec::DecodingGraph::fromDem(
-        dem, circ.detectorTags(), qec::kTagZ, true);
+        dem, circ.detectorTags(), qec::kTagZ);
     qec::UnionFindDecoder decoder(graph);
     stab::FrameSimulator sim(circ);
     Rng rng(7);

@@ -50,11 +50,13 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
         return setup;
     }
 
-    // Union-find path: decode the two tagged graphs independently.
-    // Exactly one graph carries the logical observable: the one whose
-    // detector class co-occurs with observable-flipping mechanisms
-    // (Z-stabilizer detectors for memory-Z, X for memory-X).  Detect
-    // it from the DEM instead of assuming a basis.
+    // Union-find path: exactly one detector class carries the logical
+    // observable: the one whose detectors co-occur with
+    // observable-flipping mechanisms (Z-stabilizer detectors for
+    // memory-Z, X for memory-X).  Detect it from the DEM instead of
+    // assuming a basis, and build only that class's graph: attributing
+    // no logical flips to the other class (Y-error mechanisms span both
+    // and would otherwise double-count), its decode always predicts 0.
     const auto& tags = circuit.detectorTags();
     // Vote with mechanisms whose detectors sit *exclusively* in one
     // class: a pure Z error (X-detector-only) can never flip logical Z,
@@ -71,11 +73,9 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
         if (exclusive)
             obs_votes[first_tag == kTagX ? 1 : 0] += mech.probability;
     }
-    setup->zCarriesObservable = obs_votes[0] >= obs_votes[1];
-    setup->graphZ = DecodingGraph::fromDem(setup->dem, tags, kTagZ,
-                                           setup->zCarriesObservable);
-    setup->graphX = DecodingGraph::fromDem(setup->dem, tags, kTagX,
-                                           !setup->zCarriesObservable);
+    setup->carrierTag = obs_votes[0] >= obs_votes[1] ? kTagZ : kTagX;
+    setup->graph =
+        DecodingGraph::fromDem(setup->dem, tags, setup->carrierTag);
     return setup;
 }
 

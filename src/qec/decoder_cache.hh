@@ -32,7 +32,7 @@ namespace qec {
 /** Decoder selection for runMemoryExperiment. */
 enum class DecoderKind
 {
-    /** Weighted union-find on the tagged matching graphs. */
+    /** Weighted union-find on the observable-carrier matching graph. */
     UnionFind,
     /** Greedy DEM decoder (handles hyperedge mechanisms). */
     GreedyDem,
@@ -40,8 +40,8 @@ enum class DecoderKind
 
 /**
  * Everything shot-independent about decoding one circuit: the DEM
- * and, per decoder kind, either the two tagged matching graphs (with
- * the observable-carrier vote already taken) or the greedy decoder's
+ * and, per decoder kind, either the matching graph of the detector
+ * class that carries the logical observable or the greedy decoder's
  * lookup structures.  Immutable after build(); safe to share across
  * threads.
  */
@@ -57,10 +57,14 @@ struct DecoderSetup
     std::shared_ptr<const stab::FrameProgram> program;
 
     // Union-find path.
-    DecodingGraph graphZ;
-    DecodingGraph graphX;
-    /** Whether the Z-detector graph carries the logical observable. */
-    bool zCarriesObservable = true;
+    /**
+     * Matching graph over the carrier detector class.  The other
+     * class's graph could only contribute a zero observable mask, so
+     * it is never built.
+     */
+    DecodingGraph graph;
+    /** Detector tag of the carrier class (kTagZ or kTagX). */
+    std::uint32_t carrierTag = 0;
 
     // Greedy-DEM path (references `dem`, hence the stable storage).
     std::unique_ptr<DemDecoder> greedy;

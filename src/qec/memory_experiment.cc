@@ -42,7 +42,7 @@ void
 publishBatchStats(const SlidingWindowDecoder& kernel)
 {
     const auto& st = kernel.stats();
-    kernel.publishUnionFindStats();
+    kernel.unionFindStats().publish();
     cBatchBlocks.add(st.batchBlocks);
     cBatchShots.add(st.batchShots);
     cBatchDedupHits.add(st.dedupHits);

@@ -31,7 +31,7 @@ nowNs()
 SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
                                            DecoderKind kind,
                                            const WindowConfig& config)
-    : setup(setup), kind(kind), decZ(setup.graphZ), decX(setup.graphX)
+    : setup(setup), kind(kind), dec(setup.graph)
 {
     const auto& prog = *setup.program;
     nRounds = std::max<std::size_t>(prog.numSlices(), 1);
@@ -52,19 +52,16 @@ SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
                  : std::max<std::size_t>(window / 2, 1);
     obsAccum.assign(prog.numObservables(), 0);
 
-    // Node -> round maps, from the program's slice detector ranges.
-    const DecodingGraph* graphs[2] = {&setup.graphZ, &setup.graphX};
-    for (std::size_t g = 0; g < 2; ++g)
-        nodeRound[g].assign(graphs[g]->numNodes(), 0);
+    // Node -> round map, from the program's slice detector ranges.
+    nodeRound.assign(setup.graph.numNodes(), 0);
     for (std::size_t s = 0; s < prog.numSlices(); ++s) {
         const auto& info = prog.sliceInfo(s);
-        for (std::size_t d = info.detBegin; d < info.detEnd; ++d)
-            for (std::size_t g = 0; g < 2; ++g) {
-                const auto n = graphs[g]->detectorToNode()[d];
-                if (n >= 0)
-                    nodeRound[g][static_cast<std::size_t>(n)] =
-                        static_cast<std::uint32_t>(s);
-            }
+        for (std::size_t d = info.detBegin; d < info.detEnd; ++d) {
+            const auto n = setup.graph.detectorToNode()[d];
+            if (n >= 0)
+                nodeRound[static_cast<std::size_t>(n)] =
+                    static_cast<std::uint32_t>(s);
+        }
     }
 }
 
@@ -82,9 +79,8 @@ SlidingWindowDecoder::beginBatch(std::size_t n_lanes)
     if (!isWindowed) {
         std::fill(detColumn.begin(), detColumn.end(), 0);
     } else {
-        for (auto& per_graph : pending)
-            for (auto& pend : per_graph)
-                pend.clear();
+        for (auto& pend : pending)
+            pend.clear();
     }
 }
 
@@ -105,8 +101,8 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
     }
 
     // Extract the round's fired detectors per lane and project them
-    // onto both graphs; the pending lists are the only syndrome
-    // storage, so a consumed block can be recycled immediately.
+    // onto the graph; the pending lists are the only syndrome storage,
+    // so a consumed block can be recycled immediately.
     for (std::size_t l = 0; l < lanes; ++l)
         blockFired[l].clear();
     for (std::size_t i = 0; i < block.detWords.size(); ++i) {
@@ -123,16 +119,13 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
         if (blockFired[l].empty())
             continue;
         shotWeight[l] += static_cast<std::uint32_t>(blockFired[l].size());
-        if (setup.graphZ.numNodes())
-            setup.graphZ.projectSparse(blockFired[l], pending[0][l]);
-        if (setup.graphX.numNodes())
-            setup.graphX.projectSparse(blockFired[l], pending[1][l]);
+        setup.graph.projectSparse(blockFired[l], pending[l]);
     }
 
     if (pushedRounds == nRounds) {
-        decodeWindow(nRounds, nRounds); // final window commits all
+        decodeWindow(nRounds); // final window commits all
     } else if (pushedRounds - windowBase == window) {
-        decodeWindow(pushedRounds, windowBase + commit);
+        decodeWindow(windowBase + commit);
         windowBase += commit;
     }
 }
@@ -151,15 +144,14 @@ SlidingWindowDecoder::pushBufferColumn(const stab::DetectorSamples& samples,
 }
 
 void
-SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
+SlidingWindowDecoder::decodeWindowLane(std::size_t lane,
                                        std::size_t commit_end,
                                        bool final_window)
 {
-    auto& pend = pending[graph][lane];
+    auto& pend = pending[lane];
     if (pend.empty())
         return;
     ++acc.laneDecodes;
-    auto& dec = graph == 0 ? decZ : decX;
 
     if (final_window) {
         // Everything commits: apply the full correction mask, no edge
@@ -172,9 +164,8 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
     edgesBuf.clear();
     (void)dec.decodeSparse(pend, &edgesBuf);
 
-    const auto& edges =
-        (graph == 0 ? setup.graphZ : setup.graphX).edges();
-    const auto& rounds = nodeRound[graph];
+    const auto& edges = setup.graph.edges();
+    const auto& rounds = nodeRound;
     flipsBuf.clear();
     for (const auto eid : edgesBuf) {
         const auto& e = edges[eid];
@@ -215,8 +206,7 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
 }
 
 void
-SlidingWindowDecoder::decodeWindow(std::size_t window_end,
-                                   std::size_t commit_end)
+SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
 {
     const bool timed = obs::timingEnabled();
     const std::uint64_t t0 = timed ? nowNs() : 0;
@@ -225,9 +215,7 @@ SlidingWindowDecoder::decodeWindow(std::size_t window_end,
     ++acc.windows;
     acc.committedRounds += commit_end - windowBase;
     for (std::size_t l = 0; l < lanes; ++l)
-        for (std::size_t g = 0; g < 2; ++g)
-            decodeWindowLane(g, l, commit_end, final_window);
-    (void)window_end;
+        decodeWindowLane(l, commit_end, final_window);
 
     if (timed) {
         const std::uint64_t dt = nowNs() - t0;
@@ -271,16 +259,9 @@ SlidingWindowDecoder::finishBatch()
                 pred = setup.greedy->decodeSparse(f, residual,
                                                   residualNext);
             } else {
-                if (setup.graphZ.numNodes()) {
-                    nodesBuf.clear();
-                    setup.graphZ.projectSparse(f, nodesBuf);
-                    pred ^= decZ.decodeSparse(nodesBuf);
-                }
-                if (setup.graphX.numNodes()) {
-                    nodesBuf.clear();
-                    setup.graphX.projectSparse(f, nodesBuf);
-                    pred ^= decX.decodeSparse(nodesBuf);
-                }
+                nodesBuf.clear();
+                setup.graph.projectSparse(f, nodesBuf);
+                pred = dec.decodeSparse(nodesBuf);
             }
             predicted[l] = pred;
         }
@@ -322,10 +303,8 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
 
     const std::size_t block_cap = kDecodeBlockWords * 64;
     bufFired.resize(block_cap);
-    projZ.resize(block_cap);
-    projX.resize(block_cap);
-    maskA.resize(block_cap);
-    maskB.resize(block_cap);
+    projected.resize(block_cap);
+    masks.resize(block_cap);
 
     const std::size_t n_obs = samples.numObservables;
     const std::uint32_t obs_mask =
@@ -367,35 +346,23 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
                 ++acc.trivialShots;
         }
 
-        const std::span<const std::vector<std::uint32_t>> lists(
-            bufFired.data(), block_shots);
+        const std::span<std::uint32_t> out(masks.data(), block_shots);
         if (kind == DecoderKind::GreedyDem) {
             acc.dedupHits += setup.greedy->decodeBatch(
-                lists, std::span<std::uint32_t>(maskA.data(), block_shots),
-                residual, residualNext, batchOrder);
-            for (std::size_t s = 0; s < block_shots; ++s)
-                maskB[s] = 0;
+                std::span<const std::vector<std::uint32_t>>(
+                    bufFired.data(), block_shots),
+                out, residual, residualNext, batchOrder);
         } else {
-            // Project every shot onto both graphs, then decode each
-            // graph's syndromes as one weight-sorted batch.
+            // Project every shot onto the graph, then decode the block
+            // as one weight-sorted batch.
             for (std::size_t s = 0; s < block_shots; ++s) {
-                projZ[s].clear();
-                projX[s].clear();
-                if (bufFired[s].empty())
-                    continue;
-                if (setup.graphZ.numNodes())
-                    setup.graphZ.projectSparse(bufFired[s], projZ[s]);
-                if (setup.graphX.numNodes())
-                    setup.graphX.projectSparse(bufFired[s], projX[s]);
+                projected[s].clear();
+                setup.graph.projectSparse(bufFired[s], projected[s]);
             }
-            acc.dedupHits += decZ.decodeBatch(
-                std::span<const std::vector<std::uint32_t>>(projZ.data(),
-                                                            block_shots),
-                std::span<std::uint32_t>(maskA.data(), block_shots));
-            acc.dedupHits += decX.decodeBatch(
-                std::span<const std::vector<std::uint32_t>>(projX.data(),
-                                                            block_shots),
-                std::span<std::uint32_t>(maskB.data(), block_shots));
+            acc.dedupHits += dec.decodeBatch(
+                std::span<const std::vector<std::uint32_t>>(
+                    projected.data(), block_shots),
+                out);
         }
 
         // Compare predictions against the packed observable words.
@@ -403,8 +370,7 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
             const std::size_t lanes_w =
                 std::min<std::size_t>(64, samples.shots - (w0 + j) * 64);
             for (std::size_t l = 0; l < lanes_w; ++l) {
-                const std::uint32_t pred =
-                    maskA[j * 64 + l] ^ maskB[j * 64 + l];
+                const std::uint32_t pred = masks[j * 64 + l];
                 std::uint32_t actual = 0;
                 for (std::size_t k = 0; k < n_obs && k < 32; ++k)
                     actual |= static_cast<std::uint32_t>(

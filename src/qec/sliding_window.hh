@@ -125,11 +125,10 @@ class SlidingWindowDecoder
     std::size_t peakStoredRounds() const { return window; }
 
     const Stats& stats() const { return acc; }
-    /** Publish the union-find decoders' work stats (qec.decode.uf_*). */
-    void publishUnionFindStats() const
+    /** Work stats of the union-find decoder (zero for greedy). */
+    const UnionFindDecoder::Stats& unionFindStats() const
     {
-        decZ.stats().publish();
-        decX.stats().publish();
+        return dec.stats();
     }
 
     /** Start a batch of @p lanes shots (1..64). */
@@ -176,9 +175,9 @@ class SlidingWindowDecoder
     std::size_t decodeBuffer(const stab::DetectorSamples& samples);
 
   private:
-    void decodeWindow(std::size_t window_end, std::size_t commit_end);
-    void decodeWindowLane(std::size_t graph, std::size_t lane,
-                          std::size_t commit_end, bool final_window);
+    void decodeWindow(std::size_t commit_end);
+    void decodeWindowLane(std::size_t lane, std::size_t commit_end,
+                          bool final_window);
 
     const DecoderSetup& setup;
     DecoderKind kind;
@@ -187,8 +186,7 @@ class SlidingWindowDecoder
     std::size_t window = 1;
     std::size_t commit = 1;
 
-    UnionFindDecoder decZ;
-    UnionFindDecoder decX;
+    UnionFindDecoder dec; ///< over setup.graph
 
     Stats acc;
 
@@ -203,12 +201,12 @@ class SlidingWindowDecoder
     // Whole-buffer mode: the batch's full detector column.
     std::vector<std::uint64_t> detColumn;
 
-    // Windowed mode: per-graph per-lane pending defect node ids
-    // (sorted ascending; node order follows round order).  This *is*
-    // the bounded syndrome storage.
-    std::array<std::array<std::vector<std::uint32_t>, 64>, 2> pending;
+    // Windowed mode: per-lane pending defect node ids (sorted
+    // ascending; node order follows round order).  This *is* the
+    // bounded syndrome storage.
+    std::array<std::vector<std::uint32_t>, 64> pending;
     /** Round of each graph node (windowed mode only). */
-    std::array<std::vector<std::uint32_t>, 2> nodeRound;
+    std::vector<std::uint32_t> nodeRound;
 
     // Reused scratch.
     std::array<std::vector<std::uint32_t>, 64> blockFired;
@@ -223,10 +221,8 @@ class SlidingWindowDecoder
     // masks for one kDecodeBlockWords-word block (cleared, never
     // shrunk).
     std::vector<std::vector<std::uint32_t>> bufFired;
-    std::vector<std::vector<std::uint32_t>> projZ;
-    std::vector<std::vector<std::uint32_t>> projX;
-    std::vector<std::uint32_t> maskA;
-    std::vector<std::uint32_t> maskB;
+    std::vector<std::vector<std::uint32_t>> projected;
+    std::vector<std::uint32_t> masks;
     std::vector<std::uint32_t> batchOrder; ///< greedy decodeBatch order
 };
 

@@ -145,7 +145,7 @@ runStreamingMemoryExperiment(const stab::Circuit& circuit,
     cShotsDecoded.add(shots);
     cLogicalFailures.add(failures);
     cTrivialShots.add(st.trivialShots);
-    kernel.publishUnionFindStats();
+    kernel.unionFindStats().publish();
     hSyndromeWeight.merge(st.syndromeWeights);
     if (obs::timingEnabled())
         hBackpressureWaitNs.record(producer_wait_ns);

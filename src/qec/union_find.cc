@@ -52,7 +52,7 @@ weightFromProbability(double p)
 DecodingGraph
 DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
                        const std::vector<std::uint32_t>& tags,
-                       std::uint32_t wanted_tag, bool carries_observables)
+                       std::uint32_t wanted_tag)
 {
     HETARCH_ASSERT(tags.size() == dem.numDetectors,
                    "tag list size mismatch");
@@ -89,12 +89,11 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
                 nodes.push_back(g.det2node[d]);
         if (nodes.empty())
             continue;
-        const std::uint32_t obs =
-            carries_observables ? mech.observables : 0;
         if (nodes.size() == 1) {
-            add_edge(-1, nodes[0], mech.probability, obs);
+            add_edge(-1, nodes[0], mech.probability, mech.observables);
         } else if (nodes.size() == 2) {
-            add_edge(nodes[0], nodes[1], mech.probability, obs);
+            add_edge(nodes[0], nodes[1], mech.probability,
+                     mech.observables);
         } else {
             deferred.push_back(&mech);
         }
@@ -145,7 +144,7 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
                 cand.p = combineP(cand.p, mech->probability);
             } else {
                 add_edge(-1, rest[0], mech->probability,
-                         carries_observables ? mech->observables : 0);
+                         mech->observables);
                 clean = false;
             }
         }

@@ -3,12 +3,15 @@
  * Weighted union-find decoder (Delfosse–Nickerson) over a decoding
  * graph derived from a detector error model.
  *
- * The graph is built per detector class (tag): for the surface code,
- * Z-stabilizer detectors form the graph that catches X errors and
- * carries the logical-Z observable.  Mechanisms with one detector in
- * the class become boundary edges; with two, ordinary edges; with more
- * than two, they are decomposed onto existing elementary edges (the
- * same convention Stim/PyMatching use for Y-type correlations).
+ * The graph is built over one detector class (tag): the class that
+ * carries the logical observable.  For the surface-code memory-Z
+ * experiment, Z-stabilizer detectors form the graph that catches X
+ * errors and carries the logical-Z observable; the X-stabilizer class
+ * cannot flip logical Z, so it is not decoded at all.  Mechanisms with
+ * one detector in the class become boundary edges; with two, ordinary
+ * edges; with more than two, they are decomposed onto existing
+ * elementary edges (the same convention Stim/PyMatching use for Y-type
+ * correlations).
  *
  * Two decode entry points share the algorithm:
  *
@@ -53,19 +56,14 @@ class DecodingGraph
   public:
     /**
      * Build from a DEM keeping only detectors whose tag equals
-     * @p wanted_tag.  @p tags is indexed by detector id.
-     *
-     * @p carries_observables: whether logical flips are attributed to
-     * this graph.  In a memory-Z experiment only X-type errors flip the
-     * logical, and they are caught by the Z-stabilizer graph — so that
-     * graph carries the observables and the X-stabilizer graph must
-     * not (Y-error mechanisms span both graphs and would otherwise
-     * double-attribute their logical flip).
+     * @p wanted_tag.  @p tags is indexed by detector id.  Every edge
+     * carries the observable mask of the mechanisms it stands for, so
+     * @p wanted_tag should name the observable-carrier class (see
+     * DecoderSetup::carrierTag).
      */
     static DecodingGraph fromDem(const stab::DetectorErrorModel& dem,
                                  const std::vector<std::uint32_t>& tags,
-                                 std::uint32_t wanted_tag,
-                                 bool carries_observables = true);
+                                 std::uint32_t wanted_tag);
 
     /** Number of (kept) detector nodes. */
     std::size_t numNodes() const { return nNodes; }

@@ -64,12 +64,12 @@ TEST(BatchDecode, UnionFindBatchMatchesPerShotAtFourDensities)
     const auto circuit = surfaceMemoryZ(5, 3, noise);
     const auto setup = DecoderSetup::build(circuit, DecoderKind::UnionFind);
 
-    UnionFindDecoder batch_dec(setup->graphZ);
-    UnionFindDecoder ref_dec(setup->graphZ);
+    UnionFindDecoder batch_dec(setup->graph);
+    UnionFindDecoder ref_dec(setup->graph);
 
     Rng rng(515);
     for (const int permille : {5, 30, 150, 500}) {
-        auto lists = randomSyndromes(setup->graphZ.numNodes(), 64,
+        auto lists = randomSyndromes(setup->graph.numNodes(), 64,
                                      permille, rng);
         // Force duplicate and empty lists into every density so the
         // dedup reuse and the weight-0 fast path are exercised.

@@ -54,6 +54,32 @@ const Pinned kPinned[] = {
     {MemoryBasis::X, {57, 43, 53}, {61, 43, 50}, {61, 43, 50}, {102, 87, 89}},
 };
 
+TEST(CarrierGraph, SetupPicksTheObservableCarryingClass)
+{
+    for (const auto basis : {MemoryBasis::Z, MemoryBasis::X}) {
+        const auto circuit = surfaceMemory(5, 5, pinNoise(), basis);
+        const auto setup =
+            DecoderSetup::build(circuit, DecoderKind::UnionFind);
+        const auto want = basis == MemoryBasis::Z ? kTagZ : kTagX;
+        EXPECT_EQ(setup->carrierTag, want);
+
+        // The graph holds exactly the carrier class's detectors.
+        const auto& tags = circuit.detectorTags();
+        std::size_t carrier_dets = 0;
+        for (std::size_t d = 0; d < tags.size(); ++d) {
+            const bool kept = setup->graph.detectorToNode()[d] >= 0;
+            EXPECT_EQ(kept, tags[d] == want) << "detector " << d;
+            carrier_dets += tags[d] == want;
+        }
+        EXPECT_EQ(setup->graph.numNodes(), carrier_dets);
+
+        std::size_t observable_edges = 0;
+        for (const auto& e : setup->graph.edges())
+            observable_edges += e.observables != 0;
+        EXPECT_GE(observable_edges, 1u);
+    }
+}
+
 TEST(CarrierGraph, FailureCountsMatchTwoGraphDecode)
 {
     for (const auto& pin : kPinned) {

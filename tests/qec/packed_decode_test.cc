@@ -45,41 +45,46 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
 {
     CircuitNoise noise;
     noise.p2 = 3e-3;
-    const auto circuit = surfaceMemoryZ(5, 3, noise);
-    const auto setup = DecoderSetup::build(circuit, DecoderKind::UnionFind);
+    // The carrier graphs of both memory bases: two distinct graphs
+    // (Z- and X-stabilizer classes), each with real observable masks.
+    for (const auto basis : {MemoryBasis::Z, MemoryBasis::X}) {
+        const auto circuit = surfaceMemory(5, 3, noise, basis);
+        const auto setup =
+            DecoderSetup::build(circuit, DecoderKind::UnionFind);
+        const auto& graph = setup->graph;
 
-    // One sparse decoder reused across every trial and density, so the
-    // epoch arena is exercised with many different syndromes in a row;
-    // the dense decoder allocates fresh state per call by construction.
-    UnionFindDecoder dec_z(setup->graphZ);
-    UnionFindDecoder dec_x(setup->graphX);
+        // One sparse decoder reused across every trial and density, so
+        // the epoch arena is exercised with many different syndromes
+        // in a row; the dense decoder allocates fresh state per call by
+        // construction.
+        UnionFindDecoder dec(graph);
 
-    Rng rng(2026);
-    const std::size_t n_dets = circuit.numDetectors();
-    for (const int permille : {5, 30, 150, 500}) {
-        for (int trial = 0; trial < 40; ++trial) {
-            std::vector<std::uint8_t> detectors(n_dets, 0);
-            std::vector<std::uint32_t> fired;
-            for (std::uint32_t d = 0; d < n_dets; ++d) {
-                if (rng() % 1000 < static_cast<std::uint64_t>(permille)) {
-                    detectors[d] = 1;
-                    fired.push_back(d);
+        Rng rng(2026);
+        const std::size_t n_dets = circuit.numDetectors();
+        for (const int permille : {5, 30, 150, 500}) {
+            for (int trial = 0; trial < 40; ++trial) {
+                std::vector<std::uint8_t> detectors(n_dets, 0);
+                std::vector<std::uint32_t> fired;
+                for (std::uint32_t d = 0; d < n_dets; ++d) {
+                    if (rng() % 1000 <
+                        static_cast<std::uint64_t>(permille)) {
+                        detectors[d] = 1;
+                        fired.push_back(d);
+                    }
                 }
-            }
 
-            for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
-                auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
                 const auto dense =
-                    dec.decode(graph->projectSyndrome(detectors));
+                    dec.decode(graph.projectSyndrome(detectors));
                 std::vector<std::uint32_t> nodes;
-                graph->projectSparse(fired, nodes);
+                graph.projectSparse(fired, nodes);
                 EXPECT_EQ(dec.decodeSparse(nodes), dense)
-                    << "permille=" << permille << " trial=" << trial;
+                    << "basis=" << (basis == MemoryBasis::Z ? "Z" : "X")
+                    << " permille=" << permille << " trial=" << trial;
             }
         }
+        // The empty syndrome decodes to the zero correction.
+        EXPECT_EQ(dec.decodeSparse({}), 0u);
     }
-    // The empty syndrome decodes to the zero correction on both paths.
-    EXPECT_EQ(dec_z.decodeSparse({}), 0u);
 }
 
 TEST(PackedDecode, SparseGreedyMatchesDenseOnRandomSyndromes)
