@@ -1,7 +1,6 @@
 #include "exec/thread_pool.hh"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -26,15 +25,6 @@ obs::Counter& cParallelForCalls = obs::counter("exec.parallel_for.calls");
 obs::Counter& cTasks = obs::counter("exec.tasks");
 obs::Histogram& hTaskNs = obs::histogram("exec.task_ns");
 obs::Histogram& hQueueWaitNs = obs::histogram("exec.queue_wait_ns");
-
-std::uint64_t
-steadyNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 /** Per-thread flag marking execution inside a parallelFor task. */
 thread_local bool tlInParallelRegion = false;
@@ -85,7 +75,7 @@ class Pool
         auto job = std::make_shared<Job>();
         job->fn = &fn;
         job->n = n;
-        job->announceNs = obs::timingEnabled() ? steadyNowNs() : 0;
+        job->announceNs = obs::timingEnabled() ? obs::nowNs() : 0;
 
         std::unique_lock<std::mutex> lock(poolMutex);
         ensureWorkersLocked(workers - 1);
@@ -188,7 +178,7 @@ class Pool
             // Dispatch latency: time from job announcement to this
             // worker joining in (recorded once per job per worker).
             if (job->announceNs != 0 && obs::timingEnabled()) {
-                const auto now = steadyNowNs();
+                const auto now = obs::nowNs();
                 hQueueWaitNs.record(
                     now > job->announceNs ? now - job->announceNs : 0);
             }

@@ -158,6 +158,16 @@ class LocalHistogram
     std::uint64_t total = 0;
 };
 
+/** Steady-clock time in nanoseconds, for measuring durations. */
+inline std::uint64_t
+nowNs() noexcept
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
 /** Whether timers read the clock (off by default). */
 bool timingEnabled() noexcept;
 void setTimingEnabled(bool on) noexcept;

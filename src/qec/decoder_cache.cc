@@ -51,12 +51,11 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
     }
 
     // Union-find path: exactly one detector class carries the logical
-    // observable: the one whose detectors co-occur with
-    // observable-flipping mechanisms (Z-stabilizer detectors for
-    // memory-Z, X for memory-X).  Detect it from the DEM instead of
-    // assuming a basis, and build only that class's graph: attributing
-    // no logical flips to the other class (Y-error mechanisms span both
-    // and would otherwise double-count), its decode always predicts 0.
+    // observable (Z-stabilizer detectors for memory-Z, X for memory-X).
+    // Detect it from the DEM instead of assuming a basis and build only
+    // its graph: the other class's edges would carry no observable
+    // (Y errors span both classes and must not count twice), so its
+    // decode could only ever predict 0.
     const auto& tags = circuit.detectorTags();
     // Vote with mechanisms whose detectors sit *exclusively* in one
     // class: a pure Z error (X-detector-only) can never flip logical Z,

@@ -56,12 +56,8 @@ struct DecoderSetup
      */
     std::shared_ptr<const stab::FrameProgram> program;
 
-    // Union-find path.
-    /**
-     * Matching graph over the carrier detector class.  The other
-     * class's graph could only contribute a zero observable mask, so
-     * it is never built.
-     */
+    // Union-find path: the one matching graph decoded, over the
+    // detector class that carries the logical observable.
     DecodingGraph graph;
     /** Detector tag of the carrier class (kTagZ or kTagX). */
     std::uint32_t carrierTag = 0;

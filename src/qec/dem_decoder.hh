@@ -58,13 +58,10 @@ class DemDecoder
     /**
      * Decode a block of sparse syndromes, writing shot i's predicted
      * observable mask to @p out[i].  Output-identical to per-shot
-     * decodeSparse() (each decode is a pure function of its fired
-     * list); shots are sorted by ascending syndrome weight then
-     * lexicographically so identical syndromes are decoded once and
-     * their masks reused.  Const and thread-safe: all scratch
-     * (@p residual, @p next, @p order) is caller-provided, so chunk
-     * workers can share one cached decoder.  Returns the number of
-     * duplicate-reuse skips.
+     * decodeSparse(); shots run in decodeDeduplicated() order, so
+     * repeated syndromes are decoded once.  Const and thread-safe: all
+     * scratch is caller-provided, so chunk workers can share one
+     * cached decoder.  Returns the number of duplicate-reuse skips.
      */
     std::size_t decodeBatch(std::span<const std::vector<std::uint32_t>>
                                 fired,

@@ -37,17 +37,6 @@ obs::Counter& cShotsCompleted =
 obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
 obs::Histogram& hDecodeChunkNs = obs::histogram("qec.decode_chunk_ns");
 
-/** Publish one kernel's accumulated batch-decode stats. */
-void
-publishBatchStats(const SlidingWindowDecoder& kernel)
-{
-    const auto& st = kernel.stats();
-    kernel.unionFindStats().publish();
-    cBatchBlocks.add(st.batchBlocks);
-    cBatchShots.add(st.batchShots);
-    cBatchDedupHits.add(st.dedupHits);
-}
-
 } // namespace
 
 double
@@ -77,11 +66,15 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
     SlidingWindowDecoder kernel(setup, decoder);
     const std::size_t failures = kernel.decodeBuffer(samples);
 
-    hSyndromeWeight.merge(kernel.stats().syndromeWeights);
+    const auto& st = kernel.stats();
+    hSyndromeWeight.merge(st.syndromeWeights);
     cShotsDecoded.add(samples.shots);
     cLogicalFailures.add(failures);
-    cTrivialShots.add(kernel.stats().trivialShots);
-    publishBatchStats(kernel);
+    cTrivialShots.add(st.trivialShots);
+    cBatchBlocks.add(st.batchBlocks);
+    cBatchShots.add(st.batchShots);
+    cBatchDedupHits.add(st.dedupHits);
+    kernel.unionFindStats().publish();
     return failures;
 }
 
@@ -115,16 +108,7 @@ runMemoryExperiment(const stab::Circuit& circuit, std::size_t shots,
         // round-by-round path at any worker count or SIMD width.
         const stab::FrameSimulator frame(setup->program);
         const auto samples = frame.sampleDetectors(chunk.count, chunk_rng);
-        SlidingWindowDecoder kernel(*setup, decoder);
-        failures[i] = kernel.decodeBuffer(samples);
-        const auto& st = kernel.stats();
-        hSyndromeWeight.merge(st.syndromeWeights);
-        if (obs::timingEnabled())
-            hDecodeChunkNs.record(st.decodeNs);
-        cShotsDecoded.add(chunk.count);
-        cLogicalFailures.add(failures[i]);
-        cTrivialShots.add(st.trivialShots);
-        publishBatchStats(kernel);
+        failures[i] = countLogicalFailures(*setup, decoder, samples);
         cShotsCompleted.add(chunk.count);
     });
     for (auto f : failures)

@@ -57,8 +57,8 @@ struct MemoryResult
  * observable (all observables are XOR-compared, not just observable 0).
  *
  * For DecoderKind::UnionFind the circuit's detectors must be tagged
- * (kTagZ/kTagX); both graphs are decoded and their observable
- * predictions combined.
+ * (kTagZ/kTagX); only the class that carries the observable is decoded
+ * (see DecoderSetup::carrierTag).
  *
  * Draws exactly one word from @p rng (the experiment's base stream
  * id); all sampling randomness is derived from it per chunk, so the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <span>
 
 #include "core/logging.hh"
@@ -17,13 +16,36 @@ namespace {
 obs::Histogram& hWindowDecodeNs =
     obs::histogram("qec.stream.window_decode_ns");
 
-std::uint64_t
-nowNs()
+/** Append detector @p d to the fired list of each lane set in @p word. */
+void
+scatterFired(std::uint64_t word, std::uint32_t d,
+             std::vector<std::uint32_t>* lane_lists)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    for (; word; word &= word - 1)
+        lane_lists[std::countr_zero(word)].push_back(d);
+}
+
+/**
+ * Lanes among the first @p lanes whose predicted mask disagrees with
+ * the recorded observables; @p obs_word(k) is observable k's lane word.
+ */
+template <typename ObsWord>
+std::size_t
+laneFailures(const std::uint32_t* predicted, std::size_t lanes,
+             std::size_t n_obs, ObsWord obs_word)
+{
+    const std::uint32_t obs_mask =
+        n_obs >= 32 ? 0xffffffffu
+                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
+    std::size_t failures = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        std::uint32_t actual = 0;
+        for (std::size_t k = 0; k < n_obs && k < 32; ++k)
+            actual |= static_cast<std::uint32_t>((obs_word(k) >> l) & 1)
+                      << k;
+        failures += (predicted[l] & obs_mask) != actual;
+    }
+    return failures;
 }
 
 } // namespace
@@ -105,16 +127,10 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
     // so a consumed block can be recycled immediately.
     for (std::size_t l = 0; l < lanes; ++l)
         blockFired[l].clear();
-    for (std::size_t i = 0; i < block.detWords.size(); ++i) {
-        std::uint64_t word = block.detWords[i];
-        while (word) {
-            const auto l =
-                static_cast<std::size_t>(std::countr_zero(word));
-            word &= word - 1;
-            blockFired[l].push_back(block.detBegin +
-                                    static_cast<std::uint32_t>(i));
-        }
-    }
+    for (std::size_t i = 0; i < block.detWords.size(); ++i)
+        scatterFired(block.detWords[i],
+                     block.detBegin + static_cast<std::uint32_t>(i),
+                     blockFired.data());
     for (std::size_t l = 0; l < lanes; ++l) {
         if (blockFired[l].empty())
             continue;
@@ -165,13 +181,12 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t lane,
     (void)dec.decodeSparse(pend, &edgesBuf);
 
     const auto& edges = setup.graph.edges();
-    const auto& rounds = nodeRound;
     flipsBuf.clear();
     for (const auto eid : edgesBuf) {
         const auto& e = edges[eid];
-        const std::uint32_t ru = rounds[static_cast<std::size_t>(e.u)];
+        const std::uint32_t ru = nodeRound[static_cast<std::size_t>(e.u)];
         const std::uint32_t rv =
-            e.v < 0 ? ru : rounds[static_cast<std::size_t>(e.v)];
+            e.v < 0 ? ru : nodeRound[static_cast<std::size_t>(e.v)];
         if (std::min(ru, rv) >= commit_end)
             continue; // entirely retained: re-decoded next window
         predicted[lane] ^= e.observables;
@@ -196,7 +211,7 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t lane,
     }
     keepBuf.clear();
     for (const auto v : pend)
-        if (rounds[v] >= commit_end)
+        if (nodeRound[v] >= commit_end)
             keepBuf.push_back(v);
     pend.clear();
     std::set_symmetric_difference(keepBuf.begin(), keepBuf.end(),
@@ -209,7 +224,7 @@ void
 SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
 {
     const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
+    const std::uint64_t t0 = timed ? obs::nowNs() : 0;
 
     const bool final_window = commit_end >= nRounds;
     ++acc.windows;
@@ -218,7 +233,7 @@ SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
         decodeWindowLane(l, commit_end, final_window);
 
     if (timed) {
-        const std::uint64_t dt = nowNs() - t0;
+        const std::uint64_t dt = obs::nowNs() - t0;
         acc.decodeNs += dt;
         hWindowDecodeNs.record(dt);
     }
@@ -230,7 +245,7 @@ SlidingWindowDecoder::finishBatch()
     HETARCH_ASSERT(pushedRounds == nRounds,
                    "finishBatch before every round was pushed");
     const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
+    const std::uint64_t t0 = timed ? obs::nowNs() : 0;
 
     if (!isWindowed) {
         // The historical whole-buffer loop: one detector-major pass
@@ -238,15 +253,9 @@ SlidingWindowDecoder::finishBatch()
         // decoded through the sparse entry points in lane order.
         for (std::size_t l = 0; l < lanes; ++l)
             blockFired[l].clear();
-        for (std::size_t d = 0; d < detColumn.size(); ++d) {
-            std::uint64_t word = detColumn[d];
-            while (word) {
-                const auto l =
-                    static_cast<std::size_t>(std::countr_zero(word));
-                word &= word - 1;
-                blockFired[l].push_back(static_cast<std::uint32_t>(d));
-            }
-        }
+        for (std::size_t d = 0; d < detColumn.size(); ++d)
+            scatterFired(detColumn[d], static_cast<std::uint32_t>(d),
+                         blockFired.data());
         for (std::size_t l = 0; l < lanes; ++l) {
             const auto& f = blockFired[l]; // ascending detector ids
             acc.syndromeWeights.record(f.size());
@@ -273,23 +282,13 @@ SlidingWindowDecoder::finishBatch()
         }
     }
 
-    const std::size_t n_obs = obsAccum.size();
-    const std::uint32_t obs_mask =
-        n_obs >= 32 ? 0xffffffffu
-                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
-    std::size_t failures = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        std::uint32_t actual = 0;
-        for (std::size_t k = 0; k < n_obs && k < 32; ++k)
-            actual |= static_cast<std::uint32_t>((obsAccum[k] >> l) & 1)
-                      << k;
-        if ((predicted[l] & obs_mask) != actual)
-            ++failures;
-    }
+    const std::size_t failures =
+        laneFailures(predicted.data(), lanes, obsAccum.size(),
+                     [this](std::size_t k) { return obsAccum[k]; });
     acc.failures += failures;
     acc.shots += lanes;
     if (timed)
-        acc.decodeNs += nowNs() - t0;
+        acc.decodeNs += obs::nowNs() - t0;
     return failures;
 }
 
@@ -299,17 +298,12 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
     HETARCH_ASSERT(!isWindowed,
                    "decodeBuffer is the whole-buffer batch entry");
     const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
+    const std::uint64_t t0 = timed ? obs::nowNs() : 0;
 
     const std::size_t block_cap = kDecodeBlockWords * 64;
     bufFired.resize(block_cap);
     projected.resize(block_cap);
     masks.resize(block_cap);
-
-    const std::size_t n_obs = samples.numObservables;
-    const std::uint32_t obs_mask =
-        n_obs >= 32 ? 0xffffffffu
-                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
 
     std::size_t failures = 0;
     for (std::size_t w0 = 0; w0 < samples.numWords;
@@ -326,16 +320,9 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
         for (std::size_t d = 0; d < samples.numDetectors; ++d) {
             const std::uint64_t* row =
                 samples.detWords.data() + d * samples.numWords + w0;
-            for (std::size_t j = 0; j < words; ++j) {
-                std::uint64_t word = row[j];
-                while (word) {
-                    const auto l = static_cast<std::size_t>(
-                        std::countr_zero(word));
-                    word &= word - 1;
-                    bufFired[j * 64 + l].push_back(
-                        static_cast<std::uint32_t>(d));
-                }
-            }
+            for (std::size_t j = 0; j < words; ++j)
+                scatterFired(row[j], static_cast<std::uint32_t>(d),
+                             bufFired.data() + j * 64);
         }
 
         ++acc.batchBlocks;
@@ -366,25 +353,18 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
         }
 
         // Compare predictions against the packed observable words.
-        for (std::size_t j = 0; j < words; ++j) {
-            const std::size_t lanes_w =
-                std::min<std::size_t>(64, samples.shots - (w0 + j) * 64);
-            for (std::size_t l = 0; l < lanes_w; ++l) {
-                const std::uint32_t pred = masks[j * 64 + l];
-                std::uint32_t actual = 0;
-                for (std::size_t k = 0; k < n_obs && k < 32; ++k)
-                    actual |= static_cast<std::uint32_t>(
-                                  (samples.obsWord(k, w0 + j) >> l) & 1)
-                              << k;
-                if ((pred & obs_mask) != actual)
-                    ++failures;
-            }
-        }
+        for (std::size_t j = 0; j < words; ++j)
+            failures += laneFailures(
+                masks.data() + j * 64,
+                std::min<std::size_t>(64, samples.shots - (w0 + j) * 64),
+                samples.numObservables, [&](std::size_t k) {
+                    return samples.obsWord(k, w0 + j);
+                });
         acc.shots += block_shots;
     }
     acc.failures += failures;
     if (timed)
-        acc.decodeNs += nowNs() - t0;
+        acc.decodeNs += obs::nowNs() - t0;
     return failures;
 }
 

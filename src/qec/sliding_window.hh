@@ -111,11 +111,9 @@ class SlidingWindowDecoder
 
     /** Whether the kernel runs in sliding-window mode. */
     bool windowed() const { return isWindowed; }
-    /** Rounds (program slices) per shot. */
-    std::size_t numRounds() const { return nRounds; }
-    /** Effective window size in rounds (numRounds() when batch). */
+    /** Effective window size in rounds (all rounds when batch). */
     std::size_t effectiveWindow() const { return window; }
-    /** Effective commit stride (numRounds() when batch). */
+    /** Effective commit stride (all rounds when batch). */
     std::size_t effectiveCommit() const { return commit; }
     /**
      * Upper bound on simultaneously stored syndrome rounds: the

@@ -1,12 +1,12 @@
 #include "qec/union_find.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <compare>
+#include <functional>
 #include <map>
 
 #include "core/logging.hh"
+#include "qec/batch_decode.hh"
 
 namespace hetarch {
 namespace qec {
@@ -21,13 +21,34 @@ obs::Counter& cPeeledEdges = obs::counter("qec.decode.uf_peeled_edges");
 obs::Histogram& hGrowNs = obs::histogram("qec.decode.grow_ns");
 obs::Histogram& hPeelNs = obs::histogram("qec.decode.peel_ns");
 
-std::uint64_t
-nowNs()
+/**
+ * Insertion sort.  The lists the sparse decoder orders (active roots,
+ * cluster roots, one node's grown edges) are short and mostly
+ * ascending already, where it beats std::sort's mispredicted
+ * partitioning.
+ */
+template <typename T, typename Less = std::less<T>>
+void
+insertionSort(std::vector<T>& v, Less less = {})
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    for (std::size_t i = 1; i < v.size(); ++i) {
+        const T x = v[i];
+        std::size_t j = i;
+        for (; j > 0 && less(x, v[j - 1]); --j)
+            v[j] = v[j - 1];
+        v[j] = x;
+    }
+}
+
+/** Move @p from's edge ids to the end of @p to, keeping their order. */
+void
+appendEdges(std::vector<std::int32_t>& to, std::vector<std::int32_t>& from)
+{
+    if (to.empty())
+        to.swap(from); // same contents, no copy
+    else
+        to.insert(to.end(), from.begin(), from.end());
+    from.clear();
 }
 
 /** Combine probabilities of two independent mechanisms with the same
@@ -158,7 +179,6 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
         // key is (min, max), so a boundary (-1) always lands in first.
         e.u = key.second;
         e.v = key.first;
-        e.probability = cand.p;
         double best_p = -1.0;
         for (const auto& [obs, p] : cand.byObs) {
             if (p > best_p) {
@@ -216,56 +236,40 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     : g(graph)
 {
     const std::size_t slots = g.numNodes() + 1; // + virtual boundary
-    nodeEpoch.assign(slots, 0);
-    adjNodeEpoch.assign(slots, 0);
-    visitedEpoch.assign(slots, 0);
-    parent.assign(slots, 0);
-    odd.assign(slots, 0);
-    touchesBoundary.assign(slots, 0);
-    materialized.assign(slots, 0);
-    defect.assign(slots, 0);
+    node.assign(slots, {});
     frontier.resize(slots);
-    members.resize(slots);
     adj.resize(slots);
-    parentEdge.assign(slots, {SIZE_MAX, SIZE_MAX});
-    edgeEpoch.assign(g.edges().size(), 0);
-    grown.assign(g.edges().size(), 0);
+    parentEdge.assign(slots, {-1, -1});
+    edgeStamp.assign(g.edges().size(), 0);
 }
 
 void
 UnionFindDecoder::touchNode(std::size_t v)
 {
-    if (nodeEpoch[v] == epoch)
+    auto& s = node[v];
+    if (s.epoch == epoch)
         return;
-    nodeEpoch[v] = epoch;
-    const std::size_t boundary = g.numNodes();
-    parent[v] = static_cast<std::int32_t>(v);
-    odd[v] = 0;
-    touchesBoundary[v] = v == boundary;
-    materialized[v] = v == boundary;
-    defect[v] = 0;
+    const bool is_boundary = v == g.numNodes();
+    s.epoch = epoch;
+    s.parent = static_cast<std::int32_t>(v);
+    s.size = 1;
+    s.odd = 0;
+    s.touchesBoundary = is_boundary;
+    s.materialized = is_boundary;
+    s.defect = 0;
+    s.visited = 0;
     frontier[v].clear();
-    members[v].clear();
-    members[v].push_back(static_cast<std::int32_t>(v));
+    adj[v].clear();
     touchedNodes.push_back(v);
-}
-
-std::vector<std::pair<std::size_t, std::size_t>>&
-UnionFindDecoder::adjOf(std::size_t v)
-{
-    if (adjNodeEpoch[v] != epoch) {
-        adjNodeEpoch[v] = epoch;
-        adj[v].clear();
-    }
-    return adj[v];
 }
 
 std::size_t
 UnionFindDecoder::findRoot(std::size_t x)
 {
-    while (parent[x] != static_cast<std::int32_t>(x)) {
-        parent[x] = parent[static_cast<std::size_t>(parent[x])];
-        x = static_cast<std::size_t>(parent[x]);
+    while (node[x].parent != static_cast<std::int32_t>(x)) {
+        node[x].parent =
+            node[static_cast<std::size_t>(node[x].parent)].parent;
+        x = static_cast<std::size_t>(node[x].parent);
     }
     return x;
 }
@@ -276,20 +280,19 @@ UnionFindDecoder::unite(std::size_t a, std::size_t b)
     std::size_t ra = findRoot(a), rb = findRoot(b);
     if (ra == rb)
         return ra;
-    // Union by member count; ties keep the first argument's root, as
-    // in the dense reference.
-    if (members[ra].size() < members[rb].size())
+    // Union by node count; ties keep the first argument's root, as in
+    // the dense reference (whose member lists have exactly these
+    // sizes).
+    if (node[ra].size < node[rb].size)
         std::swap(ra, rb);
     ++st.unions;
-    parent[rb] = static_cast<std::int32_t>(ra);
-    odd[ra] ^= odd[rb];
-    touchesBoundary[ra] |= touchesBoundary[rb];
-    members[ra].insert(members[ra].end(), members[rb].begin(),
-                       members[rb].end());
-    members[rb].clear();
-    frontier[ra].insert(frontier[ra].end(), frontier[rb].begin(),
-                        frontier[rb].end());
-    frontier[rb].clear();
+    auto& keep = node[ra];
+    const auto& gone = node[rb];
+    keep.size += gone.size;
+    keep.odd ^= gone.odd;
+    keep.touchesBoundary |= gone.touchesBoundary;
+    node[rb].parent = static_cast<std::int32_t>(ra);
+    appendEdges(frontier[ra], frontier[rb]);
     return ra;
 }
 
@@ -303,8 +306,9 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
         return 0;
 
     const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
+    const std::uint64_t t0 = timed ? obs::nowNs() : 0;
     ++epoch;
+    const std::uint64_t stamp_base = epoch * kStampStride;
     worklist.clear();
     touchedNodes.clear();
     grownEdges.clear();
@@ -313,81 +317,85 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
     for (auto v : fired) {
         HETARCH_DEBUG_ASSERT(v < n, "node id ", v, " out of range");
         touchNode(v);
-        odd[v] = 1;
-        defect[v] = 1;
+        node[v].odd = 1;
+        node[v].defect = 1;
+        node[v].materialized = 1;
         frontier[v] = g.incidence()[v];
-        materialized[v] = 1;
         worklist.push_back(v);
     }
 
     // --- growth ------------------------------------------------------
     // Round-robin: grow every active cluster's frontier by one unit
     // until all clusters are neutral (even parity or boundary-touching).
-    // Same schedule as the dense reference; only the state storage
-    // differs (lazily re-initialized arena instead of fresh vectors).
+    // Same schedule, frontier order and merge order as the dense
+    // reference; only the storage differs (a lazily reset arena, node
+    // counts for member lists, frontiers moved instead of copied).
+    std::uint64_t grow_steps = 0;
     bool progress = true;
     while (progress) {
-        progress = false;
+        const std::uint64_t round_start_steps = grow_steps;
         rootsBuf.clear();
         for (auto v : worklist) {
             const auto r = findRoot(v);
-            if (odd[r] && !touchesBoundary[r])
+            if (node[r].odd && !node[r].touchesBoundary)
                 rootsBuf.push_back(r);
         }
-        std::sort(rootsBuf.begin(), rootsBuf.end());
+        insertionSort(rootsBuf);
         rootsBuf.erase(std::unique(rootsBuf.begin(), rootsBuf.end()),
                        rootsBuf.end());
         if (rootsBuf.empty())
             break;
+        // Only this round's active roots and the roots of merges made
+        // during it can be active next round (an inactive cluster
+        // changes only by merging, and every merge pushes its root), so
+        // the worklist shrinks to them without changing that set.
+        worklist.assign(rootsBuf.begin(), rootsBuf.end());
 
         for (auto r : rootsBuf) {
-            if (findRoot(r) != r || !odd[r] || touchesBoundary[r])
+            if (findRoot(r) != r || !node[r].odd ||
+                node[r].touchesBoundary)
                 continue; // merged or neutralized earlier this sweep
-            keepBuf.clear();
-            edgesNowBuf = frontier[r];
+            // Take the frontier; edges still growing are compacted to
+            // its front in order and handed back after the sweep.
+            auto& edges_now = edgesNowBuf;
+            edges_now.swap(frontier[r]);
             frontier[r].clear();
-            for (auto eid : edgesNowBuf) {
-                const auto e_idx = static_cast<std::size_t>(eid);
-                const auto& e = g.edges()[e_idx];
-                if (edgeEpoch[e_idx] != epoch) {
-                    edgeEpoch[e_idx] = epoch;
-                    grown[e_idx] = 0;
-                }
-                if (grown[e_idx] >= e.weight) {
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < edges_now.size(); ++i) {
+                const auto eid = edges_now[i];
+                const auto& e = g.edges()[static_cast<std::size_t>(eid)];
+                auto& stamp = edgeStamp[static_cast<std::size_t>(eid)];
+                const std::uint64_t grown =
+                    (stamp >= stamp_base ? stamp - stamp_base : 0) + 2;
+                if (grown - 2 >= static_cast<std::uint64_t>(e.weight))
                     continue; // already fully grown and merged
+                stamp = stamp_base + grown;
+                ++grow_steps;
+                if (grown < static_cast<std::uint64_t>(e.weight)) {
+                    edges_now[kept++] = eid;
+                    continue;
                 }
-                grown[e_idx] += 2;
-                ++st.growSteps;
-                progress = true;
-                if (grown[e_idx] >= e.weight) {
-                    grownEdges.push_back(e_idx);
-                    const std::size_t a = static_cast<std::size_t>(e.u);
-                    const std::size_t b =
-                        e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-                    // Materialize far endpoints' incident edges.
-                    for (std::size_t endpoint : {a, b}) {
-                        touchNode(endpoint);
-                        if (endpoint != boundary &&
-                            !materialized[endpoint]) {
-                            materialized[endpoint] = 1;
-                            const auto er = findRoot(endpoint);
-                            frontier[er].insert(
-                                frontier[er].end(),
-                                g.incidence()[endpoint].begin(),
-                                g.incidence()[endpoint].end());
-                        }
+                grownEdges.push_back(eid);
+                const auto a = static_cast<std::size_t>(e.u);
+                const auto b = e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
+                // Materialize far endpoints' incident edges.
+                for (std::size_t endpoint : {a, b}) {
+                    touchNode(endpoint);
+                    if (!node[endpoint].materialized) {
+                        node[endpoint].materialized = 1;
+                        const auto& inc = g.incidence()[endpoint];
+                        auto& f = frontier[findRoot(endpoint)];
+                        f.insert(f.end(), inc.begin(), inc.end());
                     }
-                    const auto nr = unite(unite(a, b), r);
-                    worklist.push_back(nr);
-                } else {
-                    keepBuf.push_back(eid);
                 }
+                worklist.push_back(unite(unite(a, b), r));
             }
-            const auto r2 = findRoot(r);
-            frontier[r2].insert(frontier[r2].end(), keepBuf.begin(),
-                                keepBuf.end());
+            edges_now.resize(kept);
+            appendEdges(frontier[findRoot(r)], edges_now);
         }
+        progress = grow_steps != round_start_steps;
     }
+    st.growSteps += grow_steps;
 
     // --- peeling ------------------------------------------------------
     // For each cluster, build a spanning forest of fully grown edges
@@ -395,67 +403,69 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
     // visited in ascending id order and adjacency lists are built in
     // ascending edge-id order so the spanning trees — and with them the
     // emitted corrections — match the dense reference bit for bit.
-    const std::uint64_t t1 = timed ? nowNs() : 0;
+    const std::uint64_t t1 = timed ? obs::nowNs() : 0;
     std::uint32_t correction = 0;
 
-    std::sort(grownEdges.begin(), grownEdges.end());
+    // Adjacency of the grown edges, each node's list ordered by edge id.
     for (auto eid : grownEdges) {
-        const auto& e = g.edges()[eid];
-        const std::size_t a = static_cast<std::size_t>(e.u);
-        const std::size_t b =
-            e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-        adjOf(a).push_back({b, eid});
-        adjOf(b).push_back({a, eid});
+        const auto& e = g.edges()[static_cast<std::size_t>(eid)];
+        const auto a = static_cast<std::size_t>(e.u);
+        const auto b = e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
+        adj[a].push_back({static_cast<std::int32_t>(b), eid});
+        adj[b].push_back({static_cast<std::int32_t>(a), eid});
     }
+    for (auto v : touchedNodes)
+        insertionSort(adj[v], [](const auto& x, const auto& y) {
+            return x.second < y.second;
+        });
 
-    std::sort(touchedNodes.begin(), touchedNodes.end());
-    for (auto r : touchedNodes) {
-        if (findRoot(r) != r || members[r].empty())
-            continue;
-        // Pick a tree root: boundary if in this cluster, else r itself.
-        std::size_t tree_root = r;
-        if (touchesBoundary[r]) {
-            for (auto m : members[r]) {
-                if (static_cast<std::size_t>(m) == boundary) {
-                    tree_root = boundary;
-                    break;
-                }
-            }
-        }
-        if (visitedEpoch[tree_root] == epoch)
+    rootsBuf.clear();
+    for (auto v : touchedNodes)
+        if (findRoot(v) == v)
+            rootsBuf.push_back(v);
+    insertionSort(rootsBuf);
+    for (auto r : rootsBuf) {
+        // Tree root: the boundary if this cluster reached it (only the
+        // boundary node starts out touching it), else r itself.
+        const std::size_t tree_root =
+            node[r].touchesBoundary ? boundary : r;
+        if (node[tree_root].visited)
             continue;
         // BFS spanning tree.
         orderBuf.clear();
-        visitedEpoch[tree_root] = epoch;
-        orderBuf.push_back(tree_root);
+        node[tree_root].visited = 1;
+        orderBuf.push_back(static_cast<std::int32_t>(tree_root));
         for (std::size_t head = 0; head < orderBuf.size(); ++head) {
-            const auto u = orderBuf[head];
-            for (const auto& [w, eid] : adjOf(u)) {
-                if (visitedEpoch[w] != epoch) {
-                    visitedEpoch[w] = epoch;
-                    parentEdge[w] = {u, eid};
+            const auto u = static_cast<std::size_t>(orderBuf[head]);
+            for (const auto& [w, eid] : adj[u]) {
+                auto& next = node[static_cast<std::size_t>(w)];
+                if (!next.visited) {
+                    next.visited = 1;
+                    parentEdge[static_cast<std::size_t>(w)] = {
+                        static_cast<std::int32_t>(u), eid};
                     orderBuf.push_back(w);
                 }
             }
         }
         // Peel leaves-first (reverse BFS order).
         for (std::size_t k = orderBuf.size(); k-- > 1;) {
-            const auto v = orderBuf[k];
-            if (defect[v]) {
+            const auto v = static_cast<std::size_t>(orderBuf[k]);
+            if (node[v].defect) {
                 const auto [p, eid] = parentEdge[v];
-                correction ^= g.edges()[eid].observables;
+                correction ^=
+                    g.edges()[static_cast<std::size_t>(eid)].observables;
                 ++st.peeledEdges;
                 if (applied_edges)
                     applied_edges->push_back(
                         static_cast<std::uint32_t>(eid));
-                defect[v] = 0;
-                defect[p] ^= 1;
+                node[v].defect = 0;
+                node[static_cast<std::size_t>(p)].defect ^= 1;
             }
         }
-        defect[boundary] = 0; // boundary absorbs anything
+        node[boundary].defect = 0; // boundary absorbs anything
     }
     if (timed) {
-        const std::uint64_t t2 = nowNs();
+        const std::uint64_t t2 = obs::nowNs();
         st.growNs.record(t1 - t0);
         st.peelNs.record(t2 - t1);
     }
@@ -663,45 +673,11 @@ UnionFindDecoder::decodeBatch(
     std::span<const std::vector<std::uint32_t>> fired,
     std::span<std::uint32_t> out)
 {
-    HETARCH_ASSERT(out.size() >= fired.size(),
-                   "decodeBatch output span too small");
-    // Weight-0 shots take the fast path before the sort, so the sort
-    // only pays for the non-trivial minority at low noise.
-    auto& order = batchOrderBuf;
-    order.clear();
-    for (std::uint32_t i = 0; i < fired.size(); ++i) {
-        if (fired[i].empty())
-            out[i] = 0; // not counted as a dedup hit
-        else
-            order.push_back(i);
-    }
-    // Weight-ascending, then lexicographic so identical syndromes are
-    // adjacent, then shot index to keep the order deterministic.
-    std::sort(order.begin(), order.end(),
-              [&fired](std::uint32_t a, std::uint32_t b) {
-                  const auto& fa = fired[a];
-                  const auto& fb = fired[b];
-                  if (fa.size() != fb.size())
-                      return fa.size() < fb.size();
-                  const auto c = std::lexicographical_compare_three_way(
-                      fa.begin(), fa.end(), fb.begin(), fb.end());
-                  if (c != 0)
-                      return c < 0;
-                  return a < b;
-              });
-    std::size_t dedup_hits = 0;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        const auto shot = order[k];
-        if (k > 0 && fired[shot] == fired[order[k - 1]]) {
-            // decodeSparse is deterministic in its fired list, so an
-            // identical syndrome must produce an identical mask.
-            out[shot] = out[order[k - 1]];
-            ++dedup_hits;
-            continue;
-        }
-        out[shot] = decodeSparse(fired[shot]);
-    }
-    return dedup_hits;
+    return decodeDeduplicated(
+        fired, out, batchOrderBuf,
+        [this](const std::vector<std::uint32_t>& f) {
+            return decodeSparse(f);
+        });
 }
 
 } // namespace qec

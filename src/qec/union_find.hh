@@ -3,15 +3,12 @@
  * Weighted union-find decoder (Delfosse–Nickerson) over a decoding
  * graph derived from a detector error model.
  *
- * The graph is built over one detector class (tag): the class that
- * carries the logical observable.  For the surface-code memory-Z
- * experiment, Z-stabilizer detectors form the graph that catches X
- * errors and carries the logical-Z observable; the X-stabilizer class
- * cannot flip logical Z, so it is not decoded at all.  Mechanisms with
- * one detector in the class become boundary edges; with two, ordinary
- * edges; with more than two, they are decomposed onto existing
- * elementary edges (the same convention Stim/PyMatching use for Y-type
- * correlations).
+ * The graph is built over the one detector class (tag) that carries
+ * the logical observable: for surface-code memory-Z, the Z-stabilizer
+ * detectors, which catch X errors.  Mechanisms with one detector in
+ * the class become boundary edges; with two, ordinary edges; with more
+ * than two, they are decomposed onto existing elementary edges (the
+ * same convention Stim/PyMatching use for Y-type correlations).
  *
  * Two decode entry points share the algorithm:
  *
@@ -45,7 +42,6 @@ struct GraphEdge
 {
     std::int32_t u = -1;     ///< node id
     std::int32_t v = -1;     ///< node id, or -1 for the boundary
-    double probability = 0.0;
     std::uint32_t observables = 0; ///< logical mask flipped by this edge
     std::int32_t weight = 1;       ///< integer growth weight
 };
@@ -126,10 +122,7 @@ class UnionFindDecoder
         obs::LocalHistogram growNs;    ///< growth time per decode
         obs::LocalHistogram peelNs;    ///< peeling time per decode
 
-        /**
-         * Add to the qec.decode.uf_* counters and merge into the
-         * advisory qec.decode.grow_ns / peel_ns histograms.
-         */
+        /** Add to qec.decode.uf_* and qec.decode.{grow,peel}_ns. */
         void publish() const;
     };
 
@@ -163,27 +156,31 @@ class UnionFindDecoder
     /**
      * Decode a block of sparse syndromes at once, writing the
      * predicted observable mask of shot i to @p out[i].
-     *
-     * Output-identical to calling decodeSparse() per shot: each decode
-     * is a pure function of its fired list (the epoch-stamped arena
-     * isolates decodes from each other), so reordering and reusing
-     * results cannot change any prediction.  What batching buys is
-     * amortization — shots are processed in ascending syndrome-weight
-     * order (cheap trivial/unit syndromes first, keeping the arena's
-     * touched set small and hot), lexicographically equal neighbours
-     * reuse the previous shot's mask without re-decoding, and the
-     * arena warm-up is paid once per block instead of once per call
-     * site.  Returns the number of decodes skipped via duplicate
-     * reuse (telemetry: qec.decode.batch_dedup_hits).
+     * Output-identical to decodeSparse() per shot (the epoch-stamped
+     * arena isolates decodes); shots run in decodeDeduplicated()
+     * order, cheap syndromes first so the arena's touched set stays
+     * small and hot, and repeated syndromes reuse their mask.  Returns
+     * the reuse count (telemetry: qec.decode.batch_dedup_hits).
      */
     std::size_t decodeBatch(std::span<const std::vector<std::uint32_t>>
                                 fired,
                             std::span<std::uint32_t> out);
 
   private:
+    /** Per-node arena slot; valid iff epoch equals the decoder's. */
+    struct NodeState
+    {
+        std::uint64_t epoch = 0;
+        std::int32_t parent = 0;
+        std::int32_t size = 1;      ///< cluster node count (roots only)
+        std::uint8_t odd = 0;
+        std::uint8_t touchesBoundary = 0;
+        std::uint8_t materialized = 0;
+        std::uint8_t defect = 0;
+        std::uint8_t visited = 0; ///< reached by a peeling BFS
+    };
+
     void touchNode(std::size_t v);
-    std::vector<std::pair<std::size_t, std::size_t>>&
-    adjOf(std::size_t v);
     std::size_t findRoot(std::size_t x);
     std::size_t unite(std::size_t a, std::size_t b);
 
@@ -191,32 +188,27 @@ class UnionFindDecoder
     Stats st;
 
     // --- epoch-versioned scratch arena (decodeSparse only) ----------
-    // A slot is valid iff its epoch stamp equals `epoch`; bumping
-    // `epoch` invalidates everything in O(1).  Sized n+1 (last slot =
-    // virtual boundary node) or #edges at construction.
+    // Bumping `epoch` invalidates every slot in O(1).  Node slots are
+    // sized n+1 (last slot = virtual boundary node).  An edge's growth
+    // this decode is its stamp minus epoch * kStampStride when the
+    // stamp is at least that base, else 0 (weights never exceed the
+    // stride).
+    static constexpr std::uint64_t kStampStride = 64;
     std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> nodeEpoch;
-    std::vector<std::uint64_t> edgeEpoch;
-    std::vector<std::uint64_t> adjNodeEpoch;
-    std::vector<std::uint64_t> visitedEpoch;
-    std::vector<std::int32_t> parent;
-    std::vector<std::uint8_t> odd;
-    std::vector<std::uint8_t> touchesBoundary;
-    std::vector<std::uint8_t> materialized;
-    std::vector<std::uint8_t> defect;
+    std::vector<NodeState> node;
+    std::vector<std::uint64_t> edgeStamp;
     std::vector<std::vector<std::int32_t>> frontier;
-    std::vector<std::vector<std::int32_t>> members;
-    std::vector<std::int32_t> grown;
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj;
-    std::vector<std::pair<std::size_t, std::size_t>> parentEdge;
+    /** (parent node, edge id) of each BFS-visited node. */
+    std::vector<std::pair<std::int32_t, std::int32_t>> parentEdge;
     // Reused per-decode buffers (cleared, never shrunk).
     std::vector<std::size_t> worklist;
     std::vector<std::size_t> touchedNodes;
-    std::vector<std::size_t> grownEdges;
+    std::vector<std::int32_t> grownEdges;
     std::vector<std::size_t> rootsBuf;
-    std::vector<std::size_t> orderBuf;
-    std::vector<std::int32_t> keepBuf;
+    std::vector<std::int32_t> orderBuf;
     std::vector<std::int32_t> edgesNowBuf;
+    /** Fully grown edges as (neighbour, edge id), per node. */
+    std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> adj;
     std::vector<std::uint32_t> batchOrderBuf; ///< decodeBatch shot order
 };
 
