@@ -161,22 +161,15 @@ SlidingWindowDecoder::pushBufferColumn(const stab::DetectorSamples& samples,
 
 void
 SlidingWindowDecoder::decodeWindowLane(std::size_t lane,
-                                       std::size_t commit_end,
-                                       bool final_window)
+                                       std::size_t commit_end)
 {
     auto& pend = pending[lane];
     if (pend.empty())
         return;
     ++acc.laneDecodes;
 
-    if (final_window) {
-        // Everything commits: apply the full correction mask, no edge
-        // recording needed.
-        predicted[lane] ^= dec.decodeSparse(pend);
-        pend.clear();
-        return;
-    }
-
+    // In the final window (commit_end == nRounds) every edge commits
+    // and nothing carries.
     edgesBuf.clear();
     (void)dec.decodeSparse(pend, &edgesBuf);
 
@@ -226,11 +219,10 @@ SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
     const bool timed = obs::timingEnabled();
     const std::uint64_t t0 = timed ? obs::nowNs() : 0;
 
-    const bool final_window = commit_end >= nRounds;
     ++acc.windows;
     acc.committedRounds += commit_end - windowBase;
     for (std::size_t l = 0; l < lanes; ++l)
-        decodeWindowLane(l, commit_end, final_window);
+        decodeWindowLane(l, commit_end);
 
     if (timed) {
         const std::uint64_t dt = obs::nowNs() - t0;

@@ -174,8 +174,7 @@ class SlidingWindowDecoder
 
   private:
     void decodeWindow(std::size_t commit_end);
-    void decodeWindowLane(std::size_t lane, std::size_t commit_end,
-                          bool final_window);
+    void decodeWindowLane(std::size_t lane, std::size_t commit_end);
 
     const DecoderSetup& setup;
     DecoderKind kind;

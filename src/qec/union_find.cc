@@ -377,7 +377,8 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
                 }
                 grownEdges.push_back(eid);
                 const auto a = static_cast<std::size_t>(e.u);
-                const auto b = e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
+                const auto b =
+                    e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
                 // Materialize far endpoints' incident edges.
                 for (std::size_t endpoint : {a, b}) {
                     touchNode(endpoint);
