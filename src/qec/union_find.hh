@@ -191,8 +191,8 @@ class UnionFindDecoder
     // Bumping `epoch` invalidates every slot in O(1).  Node slots are
     // sized n+1 (last slot = virtual boundary node).  An edge's growth
     // this decode is its stamp minus epoch * kStampStride when the
-    // stamp is at least that base, else 0 (weights never exceed the
-    // stride).
+    // stamp is at least that base, else 0 (edge weights are at most
+    // 60, below the stride).
     static constexpr std::uint64_t kStampStride = 64;
     std::uint64_t epoch = 0;
     std::vector<NodeState> node;
